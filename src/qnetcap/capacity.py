@@ -8,9 +8,10 @@ Three modes share one state-evaluation engine:
              state's capacity)
   sampled    plain Monte Carlo over states with a counter-based RNG
 
-Parallel runs split the index space into fixed-size chunks; per-chunk
-partial sums are combined in chunk order with compensated summation, so
-results are bit-identical for any worker count.
+Runs split their states into fixed-size chunks. Each chunk reduces its
+terms with math.fsum, which is exactly rounded, and the chunk sums are
+combined with math.fsum again; since the chunks do not depend on the
+worker count, results are bit-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -19,19 +20,25 @@ import heapq
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
-from typing import IO, Iterator, Optional, Sequence
+from array import array
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .model import Topology
 from .snapshot import (
+    PairSlots,
+    encode_index,
     link_pmfs,
     num_states,
-    state_from_index,
+    odometer,
+    state_bases,
     write_state_rows,
 )
-from .solver import PathPacker
+from .solver import IndexedNetwork, PathPacker, index_network
 
 EXACT_STATE_BUDGET = 1 << 22
 STATE_CHUNK = 1 << 14  # states per reduction chunk (fixed: determinism contract)
@@ -62,49 +69,19 @@ class CapacityReport:
     seed: Optional[int] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "value": self.value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "covered_probability": self.covered_probability,
-            "full_state_capacity": self.full_state_capacity,
-            "states_evaluated": self.states_evaluated,
-        }
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        """Fields in declaration order; stderr and seed only when set."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-class _Kahan:
-    """Compensated accumulator."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
+def topology_network(t: Topology) -> IndexedNetwork:
+    """The topology's nodes, links and gains on packer indices."""
+    gains = {n.id: t.q_of(n.id) for n in t.nodes}
+    return index_network(gains, [(l.u, l.v) for l in t.links], t.source, t.sink)
 
 
 def topology_packer(t: Topology) -> PathPacker:
     """Path-packing engine over the topology's own links and gains."""
-    ids = sorted(n.id for n in t.nodes)
-    index = {nid: i for i, nid in enumerate(ids)}
-    return PathPacker(
-        len(ids),
-        [(index[l.u], index[l.v]) for l in t.links],
-        [t.q_of(nid) for nid in ids],
-        index[t.source],
-        index[t.sink],
-    )
+    return topology_network(t).packer()
 
 
 def full_state_capacity(t: Topology) -> float:
@@ -112,62 +89,114 @@ def full_state_capacity(t: Topology) -> float:
     return topology_packer(t).value(t.capacities)
 
 
-# Worker-process state (built once per worker via the pool initializer).
-_ENGINE: Optional[tuple[Topology, PathPacker, list, tuple]] = None
-_RAW_CACHE: dict[bytes, float] = {}
+class _Engine:
+    """State evaluation for one topology, with a cache of sampled states."""
+
+    def __init__(self, t: Topology):
+        self.packer = topology_packer(t)
+        self.pmfs = link_pmfs(t)
+        self.bases = state_bases(t)
+        self.slots = PairSlots(t)
+        self.cache: dict[bytes, float] = {}
+
+
 _RAW_CACHE_CAP = 1 << 19
+_WORKER = None  # this worker process's state, built once by _init_worker
 
 
-def _init_engine(t: Topology) -> None:
-    global _ENGINE, _RAW_CACHE
-    pmfs = link_pmfs(t)
-    _ENGINE = (t, topology_packer(t), pmfs, tuple(c + 1 for c in t.capacities))
-    _RAW_CACHE = {}
+def _init_worker(build) -> None:
+    global _WORKER
+    _WORKER = build()
 
 
-def _exact_chunk(args: tuple[int, int, bool]):
-    start, stop, want_rows = args
-    t, packer, pmfs, bases = _ENGINE
-    n_links = len(bases)
-    vec = list(state_from_index(t, start).vector)
-    value = _Kahan()
-    covered = _Kahan()
+def _on_worker(fn, job):
+    return fn(_WORKER, job)
+
+
+def _run_chunks(build, jobs: Sequence, fn, threads: int) -> Iterator:
+    """Yields fn(state, job) for each job in job order, state = build() once
+    per worker; more than one worker runs in a fork pool."""
+    workers = threads if threads > 0 else (os.cpu_count() or 1)
+    if workers <= 1 or len(jobs) <= 1:
+        state = build()
+        for job in jobs:
+            yield fn(state, job)
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_init_worker, initargs=(build,)) as pool:
+        yield from pool.imap(partial(_on_worker, fn), jobs)
+
+
+def _open_rows(path_or_fh):
+    """Context manager over a row sink: a handle, left open, or a path."""
+    if hasattr(path_or_fh, "write"):
+        return nullcontext(path_or_fh)
+    return open(path_or_fh, "w", encoding="utf-8", newline="")
+
+
+def _drain(results: Iterator, per_row, write_rows) -> list:
+    """Chunk summaries in job order; chunk rows stream to per_row if given."""
+    if per_row is None:
+        return [summary for summary, _ in results]
+    summaries = []
+
+    def rows() -> Iterator:
+        for summary, chunk_rows in results:
+            summaries.append(summary)
+            yield from chunk_rows
+
+    with _open_rows(per_row) as fh:
+        write_rows(fh, rows())
+    return summaries
+
+
+def _moments(xs: Sequence[float]) -> tuple[float, float, float, float]:
+    """One chunk's (sum, sum of squares, min, max) of a nonempty sample."""
+    return math.fsum(xs), math.fsum(x * x for x in xs), min(xs), max(xs)
+
+
+def _mean_stderr(parts: Sequence[tuple], n: int) -> tuple[float, float]:
+    """Mean and standard error of n values from their chunks' _moments."""
+    mean = math.fsum(p[0] for p in parts) / n
+    lo = min(p[2] for p in parts)
+    hi = max(p[3] for p in parts)
+    if n > 1 and hi > lo:
+        total_sq = math.fsum(p[1] for p in parts)
+        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+    else:
+        variance = 0.0
+    return mean, math.sqrt(variance / n)
+
+
+def _substream(seed: int, i: int) -> np.random.Generator:
+    """Philox generator keyed by (seed, i), each taken modulo 2**64."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    return np.random.Generator(np.random.Philox(key=((seed & mask) << 64) | (i & mask)))
+
+
+def _exact_chunk(engine: _Engine, job: tuple[int, int, bool]):
+    start, stop, want_rows = job
+    packer = engine.packer
+    # packed doubles: a chunk's terms take 8 bytes each, not a float object
+    terms = array("d")
+    probs = array("d")
     rows = [] if want_rows else None
-    for index in range(start, stop):
-        prob = 1.0
-        for l in range(n_links):
-            prob *= pmfs[l][vec[l]]
+    for index, vec, prob in odometer(engine.bases, engine.pmfs, start, stop):
         cap = packer.value(vec)
-        value.add(prob * cap)
-        covered.add(prob)
+        terms.append(prob * cap)
+        probs.append(prob)
         if rows is not None:
             rows.append((index, tuple(vec), prob, cap))
-        for l in range(n_links - 1, -1, -1):
-            vec[l] += 1
-            if vec[l] < bases[l]:
-                break
-            vec[l] = 0
-    return value.total, covered.total, rows
+    return (math.fsum(terms), math.fsum(probs)), rows
 
 
-def _sample_chunk(args: tuple[int, int, int, bool]):
-    chunk_index, count, seed, want_rows = args
-    t, packer, pmfs, bases = _ENGINE
-    key = ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | (chunk_index & 0xFFFFFFFFFFFFFFFF)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    caps = t.capacities
-    probs = t.probabilities
-    slot_p = np.repeat(np.asarray(probs), caps)
-    offsets = np.concatenate(([0], np.cumsum(caps)[:-1]))
-    hits = (gen.random((count, len(slot_p))) < slot_p).astype(np.int64)
-    counts = np.add.reduceat(hits, offsets, axis=1)
-    total = _Kahan()
-    total_sq = _Kahan()
-    lo, hi = math.inf, -math.inf
+def _sample_chunk(engine: _Engine, job: tuple[int, int, int, bool]):
+    chunk_index, count, seed, want_rows = job
+    gen = _substream(seed, chunk_index)
+    packer, pmfs, cache = engine.packer, engine.pmfs, engine.cache
+    caps: list[float] = []
     rows = [] if want_rows else None
-    n_links = len(bases)
-    cache = _RAW_CACHE
-    for vec in counts.tolist():
+    for vec in engine.slots.draw(gen, count).tolist():
         key = bytes(vec)
         cap = cache.get(key)
         if cap is None:
@@ -175,40 +204,11 @@ def _sample_chunk(args: tuple[int, int, int, bool]):
             if len(cache) >= _RAW_CACHE_CAP:
                 cache.clear()
             cache[key] = cap
-        total.add(cap)
-        total_sq.add(cap * cap)
-        if cap < lo:
-            lo = cap
-        if cap > hi:
-            hi = cap
+        caps.append(cap)
         if rows is not None:
-            prob = 1.0
-            for l in range(n_links):
-                prob *= pmfs[l][vec[l]]
-            index = 0
-            for l in range(n_links):
-                index = index * bases[l] + vec[l]
-            rows.append((index, tuple(vec), prob, cap))
-    return total.total, total_sq.total, lo, hi, rows
-
-
-def _run_chunks(t: Topology, jobs: Sequence, fn, threads: int) -> Iterator:
-    """Runs chunk jobs across a fork pool, yielding results in job order."""
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    if workers <= 1 or len(jobs) <= 1:
-        _init_engine(t)
-        for job in jobs:
-            yield fn(job)
-        return
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init_engine, initargs=(t,)) as pool:
-        yield from pool.imap(fn, jobs)
-
-
-def _open_rows(path_or_fh) -> tuple[IO[str], bool]:
-    if hasattr(path_or_fh, "write"):
-        return path_or_fh, False
-    return open(path_or_fh, "w", encoding="utf-8", newline=""), True
+            prob = math.prod(pmf[c] for pmf, c in zip(pmfs, vec))
+            rows.append((encode_index(engine.bases, vec), tuple(vec), prob, cap))
+    return _moments(caps), rows
 
 
 def exact_capacity(
@@ -227,34 +227,15 @@ def exact_capacity(
     full_cap = full_state_capacity(t)
     want_rows = per_state is not None
     jobs = [(a, min(a + STATE_CHUNK, n), want_rows) for a in range(0, n, STATE_CHUNK)]
-    value = _Kahan()
-    covered = _Kahan()
-    rows_fh, close_rows = _open_rows(per_state) if want_rows else (None, False)
-    try:
-        if rows_fh is not None:
-
-            def emit() -> Iterator:
-                for chunk_value, chunk_covered, rows in _run_chunks(
-                    t, jobs, _exact_chunk, threads
-                ):
-                    value.add(chunk_value)
-                    covered.add(chunk_covered)
-                    yield from rows
-
-            write_state_rows(rows_fh, emit())
-        else:
-            for chunk_value, chunk_covered, _ in _run_chunks(t, jobs, _exact_chunk, threads):
-                value.add(chunk_value)
-                covered.add(chunk_covered)
-    finally:
-        if close_rows:
-            rows_fh.close()
+    chunks = _run_chunks(partial(_Engine, t), jobs, _exact_chunk, threads)
+    parts = _drain(chunks, per_state, write_state_rows)
+    value = math.fsum(v for v, _ in parts)
     return CapacityReport(
         mode="exact",
-        value=value.total,
-        lower=value.total,
-        upper=value.total,
-        covered_probability=covered.total,
+        value=value,
+        lower=value,
+        upper=value,
+        covered_probability=math.fsum(c for _, c in parts),
         full_state_capacity=full_cap,
         states_evaluated=n,
     )
@@ -269,8 +250,9 @@ def truncated_capacity(t: Topology, k: int) -> CapacityReport:
     if k < 1:
         raise ValueError(f"state budget k must be >= 1, got {k}")
     full_cap = full_state_capacity(t)
-    _init_engine(t)
-    _, packer, pmfs, bases = _ENGINE
+    packer = topology_packer(t)
+    pmfs = link_pmfs(t)
+    bases = state_bases(t)
     n_links = len(bases)
     # per-link counts ranked by decreasing probability (ties: lower count)
     ranked = [
@@ -280,45 +262,33 @@ def truncated_capacity(t: Topology, k: int) -> CapacityReport:
     def state_of(rank_vec: tuple[int, ...]) -> list[int]:
         return [ranked[l][r] for l, r in enumerate(rank_vec)]
 
-    def prob_of(rank_vec: tuple[int, ...]) -> float:
-        prob = 1.0
-        for l, r in enumerate(rank_vec):
-            prob *= pmfs[l][ranked[l][r]]
-        return prob
-
-    def index_of(vec: Sequence[int]) -> int:
-        index = 0
-        for l in range(n_links):
-            index = index * bases[l] + vec[l]
-        return index
-
-    root = (0,) * n_links
-    heap = [(-prob_of(root), index_of(state_of(root)), root, 0)]
-    seen_pops = 0
-    lower = _Kahan()
-    covered = _Kahan()
-    while heap and seen_pops < k:
-        neg_prob, _, rank_vec, min_l = heapq.heappop(heap)
+    def entry(rank_vec: tuple[int, ...], min_l: int) -> tuple:
         vec = state_of(rank_vec)
-        lower.add(-neg_prob * packer.value(vec))
-        covered.add(-neg_prob)
-        seen_pops += 1
+        prob = math.prod(pmf[c] for pmf, c in zip(pmfs, vec))
+        return (-prob, encode_index(bases, vec), rank_vec, min_l)
+
+    heap = [entry((0,) * n_links, 0)]
+    terms: list[float] = []
+    probs: list[float] = []
+    while heap and len(probs) < k:
+        neg_prob, _, rank_vec, min_l = heapq.heappop(heap)
+        terms.append(-neg_prob * packer.value(state_of(rank_vec)))
+        probs.append(-neg_prob)
         for l in range(min_l, n_links):
             if rank_vec[l] + 1 < bases[l]:
                 child = rank_vec[:l] + (rank_vec[l] + 1,) + rank_vec[l + 1 :]
-                heapq.heappush(
-                    heap, (-prob_of(child), index_of(state_of(child)), child, l)
-                )
-    gap = max(0.0, 1.0 - covered.total)
-    upper = lower.total + gap * full_cap
+                heapq.heappush(heap, entry(child, l))
+    lower = math.fsum(terms)
+    covered = math.fsum(probs)
+    upper = lower + max(0.0, 1.0 - covered) * full_cap
     return CapacityReport(
         mode="truncated",
-        value=0.5 * (lower.total + upper),
-        lower=lower.total,
+        value=0.5 * (lower + upper),
+        lower=lower,
         upper=upper,
-        covered_probability=covered.total,
+        covered_probability=covered,
         full_state_capacity=full_cap,
-        states_evaluated=seen_pops,
+        states_evaluated=len(probs),
     )
 
 
@@ -338,43 +308,12 @@ def sampled_capacity(
         raise ValueError(f"sample count must be >= 1, got {samples}")
     full_cap = full_state_capacity(t)
     want_rows = per_state is not None
-    jobs = []
-    done = 0
-    while done < samples:
-        m = min(SAMPLE_CHUNK, samples - done)
-        jobs.append((len(jobs), m, seed, want_rows))
-        done += m
-    total = _Kahan()
-    total_sq = _Kahan()
-    lo, hi = math.inf, -math.inf
-    rows_fh, close_rows = _open_rows(per_state) if want_rows else (None, False)
-    try:
-        if rows_fh is not None:
-
-            def emit() -> Iterator:
-                nonlocal lo, hi
-                for c_total, c_sq, c_lo, c_hi, rows in _run_chunks(
-                    t, jobs, _sample_chunk, threads
-                ):
-                    total.add(c_total)
-                    total_sq.add(c_sq)
-                    lo, hi = min(lo, c_lo), max(hi, c_hi)
-                    yield from rows
-
-            write_state_rows(rows_fh, emit())
-        else:
-            for c_total, c_sq, c_lo, c_hi, _ in _run_chunks(t, jobs, _sample_chunk, threads):
-                total.add(c_total)
-                total_sq.add(c_sq)
-                lo, hi = min(lo, c_lo), max(hi, c_hi)
-    finally:
-        if close_rows:
-            rows_fh.close()
-    mean = total.total / samples
-    if samples > 1 and hi > lo:
-        variance = max(0.0, (total_sq.total - samples * mean * mean) / (samples - 1))
-    else:
-        variance = 0.0
+    jobs = [
+        (a // SAMPLE_CHUNK, min(SAMPLE_CHUNK, samples - a), seed, want_rows)
+        for a in range(0, samples, SAMPLE_CHUNK)
+    ]
+    chunks = _run_chunks(partial(_Engine, t), jobs, _sample_chunk, threads)
+    mean, stderr = _mean_stderr(_drain(chunks, per_state, write_state_rows), samples)
     return CapacityReport(
         mode="sampled",
         value=mean,
@@ -383,6 +322,6 @@ def sampled_capacity(
         covered_probability=0.0,
         full_state_capacity=full_cap,
         states_evaluated=samples,
-        stderr=math.sqrt(variance / samples),
+        stderr=stderr,
         seed=seed,
     )

@@ -19,6 +19,7 @@ import yaml
 ROLE_SOURCE = "source"
 ROLE_SINK = "sink"
 ROLE_INTERNAL = "internal"
+MAX_LINK_PAIRS = 255  # the solver keys its memo on pair counts, one byte per link
 
 
 class TopologyError(ValueError):
@@ -213,8 +214,8 @@ def validate_topology(t: Topology, _skip_sort: bool = False) -> list[str]:
             diags.append(f"{loc}.length_km: must be >= 0, got {l.length_km}")
         if l.p is not None and not 0.0 <= l.p <= 1.0:
             diags.append(f"{loc}.p: must be in [0, 1], got {l.p}")
-        if l.c < 1 or l.c != int(l.c):
-            diags.append(f"{loc}.c: must be an integer >= 1, got {l.c}")
+        if not 1 <= l.c <= MAX_LINK_PAIRS or l.c != int(l.c):
+            diags.append(f"{loc}.c: must be an integer in [1, {MAX_LINK_PAIRS}], got {l.c}")
     return diags
 
 

@@ -14,16 +14,22 @@ published routing algorithm.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
 
 import numpy as np
 
+from .capacity import (
+    _drain,
+    _mean_stderr,
+    _moments,
+    _run_chunks,
+    _substream,
+    topology_network,
+)
 from .model import Topology
-from .capacity import _Kahan
+from .snapshot import PairSlots
 
 TRIAL_CHUNK = 1 << 10  # trials per job; per-trial substreams keyed (seed, trial)
 
@@ -64,19 +70,12 @@ def hop_distances(t: Topology, target: str) -> dict[str, float]:
 
 
 class _SimPlan:
-    """Precomputed arrays for fast per-trial simulation."""
+    """Precomputed arrays for fast per-trial simulation, and the run's seed."""
 
-    def __init__(self, t: Topology):
-        self.ids = sorted(n.id for n in t.nodes)
-        index = {nid: i for i, nid in enumerate(self.ids)}
-        self.source = index[t.source]
-        self.sink = index[t.sink]
-        self.q = [t.q_of(nid) for nid in self.ids]
-        self.links = [(index[l.u], index[l.v]) for l in t.links]
-        self.caps = t.capacities
-        self.probs = t.probabilities
-        self.slot_p = np.repeat(np.asarray(self.probs), self.caps)
-        self.offsets = np.concatenate(([0], np.cumsum(self.caps)[:-1]))
+    def __init__(self, t: Topology, seed: int):
+        self.ids, self.links, self.q, self.source, self.sink = topology_network(t)
+        self.slots = PairSlots(t)
+        self.seed = seed
         d_s = hop_distances(t, t.source)
         d_t = hop_distances(t, t.sink)
         self.d_s = [d_s[nid] for nid in self.ids]
@@ -96,8 +95,7 @@ def _pair_cost(plan: _SimPlan, count: int, here: int, other: int, to_source: boo
 
 
 def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
-    hits = gen.random(len(plan.slot_p)) < plan.slot_p
-    counts = np.add.reduceat(hits.astype(np.int64), plan.offsets).tolist()
+    counts = plan.slots.draw(gen).tolist()
 
     # pair instances: (link index, pair index); each has an end at both link nodes
     instances: list[tuple[int, int]] = []
@@ -177,36 +175,17 @@ def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
     return delivered
 
 
-_PLAN: Optional[_SimPlan] = None
-_SEED = 0
+def _trial_chunk(plan: _SimPlan, job: tuple[int, int, bool]):
+    start, stop, want_rows = job
+    delivered = [_run_trial(plan, _substream(plan.seed, i)) for i in range(start, stop)]
+    rows = list(zip(range(start, stop), delivered)) if want_rows else None
+    return _moments(delivered), rows
 
 
-def _init_sim(t: Topology, seed: int) -> None:
-    global _PLAN, _SEED
-    _PLAN = _SimPlan(t)
-    _SEED = seed
-
-
-def _trial_chunk(args: tuple[int, int, bool]):
-    start, stop, want_rows = args
-    plan = _PLAN
-    seed64 = _SEED & 0xFFFFFFFFFFFFFFFF
-    total = _Kahan()
-    total_sq = _Kahan()
-    lo, hi = math.inf, -math.inf
-    rows = [] if want_rows else None
-    for i in range(start, stop):
-        gen = np.random.Generator(np.random.Philox(key=(seed64 << 64) | i))
-        x = float(_run_trial(plan, gen))
-        total.add(x)
-        total_sq.add(x * x)
-        if x < lo:
-            lo = x
-        if x > hi:
-            hi = x
-        if rows is not None:
-            rows.append((i, int(x)))
-    return total.total, total_sq.total, lo, hi, rows
+def _write_trial_rows(fh, rows) -> None:
+    fh.write("trial,delivered\n")
+    for i, x in rows:
+        fh.write(f"{i},{x}\n")
 
 
 def simulate_local_knowledge(
@@ -221,41 +200,6 @@ def simulate_local_knowledge(
     n = cfg.samples
     want_rows = per_trial is not None
     jobs = [(a, min(a + TRIAL_CHUNK, n), want_rows) for a in range(0, n, TRIAL_CHUNK)]
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    total = _Kahan()
-    total_sq = _Kahan()
-    lo, hi = math.inf, -math.inf
-    if workers <= 1 or len(jobs) <= 1:
-        _init_sim(t, cfg.seed)
-        results = map(_trial_chunk, jobs)
-    else:
-        ctx = multiprocessing.get_context("fork")
-        pool = ctx.Pool(workers, initializer=_init_sim, initargs=(t, cfg.seed))
-        results = pool.imap(_trial_chunk, jobs)
-    rows_fh = close_rows = None
-    if want_rows:
-        if hasattr(per_trial, "write"):
-            rows_fh, close_rows = per_trial, False
-        else:
-            rows_fh, close_rows = open(per_trial, "w", encoding="utf-8", newline=""), True
-        rows_fh.write("trial,delivered\n")
-    try:
-        for c_total, c_sq, c_lo, c_hi, rows in results:
-            total.add(c_total)
-            total_sq.add(c_sq)
-            lo, hi = min(lo, c_lo), max(hi, c_hi)
-            if rows_fh is not None:
-                for i, x in rows:
-                    rows_fh.write(f"{i},{x}\n")
-    finally:
-        if close_rows:
-            rows_fh.close()
-        if workers > 1 and len(jobs) > 1:
-            pool.close()
-            pool.join()
-    mean = total.total / n
-    if n > 1 and hi > lo:
-        variance = max(0.0, (total_sq.total - n * mean * mean) / (n - 1))
-    else:
-        variance = 0.0
-    return SimResult(mean=mean, stderr=math.sqrt(variance / n), samples=n)
+    chunks = _run_chunks(partial(_SimPlan, t, cfg.seed), jobs, _trial_chunk, threads)
+    mean, stderr = _mean_stderr(_drain(chunks, per_trial, _write_trial_rows), n)
+    return SimResult(mean=mean, stderr=stderr, samples=n)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .model import LinkSpec, NodeSpec, Topology, _role_of
 
 
@@ -99,29 +101,39 @@ class DirectedSnapshot:
 
 
 def num_states(t: Topology) -> int:
-    n = 1
-    for c in t.capacities:
-        n *= c + 1
-    return n
+    return math.prod(state_bases(t))
+
+
+def state_bases(t: Topology) -> tuple[int, ...]:
+    """Mixed-radix digit bases of the state space, c_l + 1 per link."""
+    return tuple(c + 1 for c in t.capacities)
+
+
+def encode_index(bases: Sequence[int], vector: Sequence[int]) -> int:
+    """Mixed-radix index of a count vector (last link varies fastest)."""
+    index = 0
+    for base, k in zip(bases, vector):
+        index = index * base + k
+    return index
+
+
+def decode_index(bases: Sequence[int], index: int) -> list[int]:
+    """Count vector at a mixed-radix index; inverse of encode_index."""
+    vec = [0] * len(bases)
+    for l in range(len(bases) - 1, -1, -1):
+        index, vec[l] = divmod(index, bases[l])
+    return vec
 
 
 def state_from_index(t: Topology, index: int) -> SnapshotState:
     """Decodes a mixed-radix state index (last link varies fastest)."""
     if not 0 <= index < num_states(t):
         raise ValueError(f"state index {index} out of range")
-    vec = [0] * len(t.links)
-    for l in range(len(t.links) - 1, -1, -1):
-        base = t.capacities[l] + 1
-        vec[l] = index % base
-        index //= base
-    return SnapshotState(t.link_ids, tuple(vec))
+    return SnapshotState(t.link_ids, tuple(decode_index(state_bases(t), index)))
 
 
 def state_index(t: Topology, s: SnapshotState) -> int:
-    idx = 0
-    for k, c in zip(s.vector, t.capacities):
-        idx = idx * (c + 1) + k
-    return idx
+    return encode_index(state_bases(t), s.vector)
 
 
 def link_pmfs(t: Topology) -> list[tuple[float, ...]]:
@@ -136,12 +148,10 @@ def link_pmfs(t: Topology) -> list[tuple[float, ...]]:
 
 def state_probability(t: Topology, s: SnapshotState) -> float:
     """Probability of observing exactly this state in one time slot."""
-    prob = 1.0
-    for k, p, c in zip(s.vector, t.probabilities, t.capacities):
+    for k, c in zip(s.vector, t.capacities):
         if not 0 <= k <= c:
             raise ValueError(f"count {k} exceeds link capacity {c}")
-        prob *= math.comb(c, k) * p**k * (1.0 - p) ** (c - k)
-    return prob
+    return math.prod(pmf[k] for pmf, k in zip(link_pmfs(t), s.vector))
 
 
 def enumerate_states(
@@ -158,24 +168,46 @@ def enumerate_states(
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError(f"invalid state range [{start}, {stop})")
-    if start == stop:
-        return
-    pmfs = link_pmfs(t)
     link_ids = t.link_ids
-    bases = [c + 1 for c in t.capacities]
+    for _, vec, prob in odometer(state_bases(t), link_pmfs(t), start, stop):
+        yield SnapshotState(link_ids, tuple(vec)), prob
+
+
+def odometer(
+    bases: Sequence[int], pmfs: Sequence[Sequence[float]], start: int, stop: int
+) -> Iterator[tuple[int, list[int], float]]:
+    """Steps through [start, stop) of the index order, yielding (index,
+    vector, probability). The vector is one list updated in place; copy it
+    to keep it past the next step."""
     n_links = len(bases)
-    vec = list(state_from_index(t, start).vector)
-    for _ in range(start, stop):
+    vec = decode_index(bases, start)
+    for index in range(start, stop):
         prob = 1.0
         for l in range(n_links):
             prob *= pmfs[l][vec[l]]
-        yield SnapshotState(link_ids, tuple(vec)), prob
-        # mixed-radix odometer increment, last link fastest
+        yield index, vec, prob
+        # mixed-radix increment, last link fastest
         for l in range(n_links - 1, -1, -1):
             vec[l] += 1
             if vec[l] < bases[l]:
                 break
             vec[l] = 0
+
+
+class PairSlots:
+    """A topology's pair slots, c_l per link in link order, each generating
+    its pair with the link's p; draws per-link pair counts."""
+
+    def __init__(self, t: Topology):
+        caps = t.capacities
+        self.p = np.repeat(np.asarray(t.probabilities), caps)
+        self.offsets = np.concatenate(([0], np.cumsum(caps)[:-1]))
+
+    def draw(self, gen: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
+        """Counts of one state, or of n states, one row each."""
+        shape = len(self.p) if n is None else (n, len(self.p))
+        hits = (gen.random(shape) < self.p).astype(np.int64)
+        return np.add.reduceat(hits, self.offsets, axis=-1)
 
 
 def splitter_id(u: str, v: str, k: int) -> str:

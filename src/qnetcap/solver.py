@@ -15,7 +15,7 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .flowcheck import FlowAssignment
 from .snapshot import DirectedSnapshot
@@ -95,16 +95,25 @@ class PathPacker:
                     break
         return True
 
-    def _reserve_stack(self, counts: Sequence[int]) -> None:
-        # nested value/extend frames consume >= 1 pair per level, plus slack
+    def _with_stack(self, search, counts: Sequence[int]):
+        """Runs search(list(counts)) with room for its recursion.
+
+        Nested value/extend frames consume >= 1 pair per level, plus slack;
+        a raised recursion limit is put back before returning.
+        """
         need = 512 + 4 * (self.num_nodes + 2) * (sum(counts) + 2)
-        if sys.getrecursionlimit() < need:
-            sys.setrecursionlimit(need)
+        limit = sys.getrecursionlimit()
+        if need <= limit:
+            return search(list(counts))
+        sys.setrecursionlimit(need)
+        try:
+            return search(list(counts))
+        finally:
+            sys.setrecursionlimit(limit)
 
     def value(self, counts: Sequence[int]) -> float:
         """Optimal total delivered flow for the given per-link pair counts."""
-        self._reserve_stack(counts)
-        return self._value(list(counts))
+        return self._with_stack(self._value, counts)
 
     def _value(self, counts: list[int]) -> float:
         self.nodes_explored += 1
@@ -165,8 +174,7 @@ class PathPacker:
         Paths are node-index tuples from source to sink; the returned set is
         sorted. Deterministic for a given problem.
         """
-        self._reserve_stack(counts)
-        return self._rebuild(list(counts))
+        return self._with_stack(self._rebuild, counts)
 
     def _rebuild(self, counts: list[int]) -> tuple[tuple[int, ...], ...]:
         if not self._strip(counts):
@@ -227,6 +235,40 @@ class PathPacker:
         return best
 
 
+class IndexedNetwork(NamedTuple):
+    """A network on packer indices: node i is ids[i], with ids sorted.
+
+    Sorted ids and the caller's link order set the packer's branch order.
+    """
+
+    ids: tuple[str, ...]
+    links: tuple[tuple[int, int], ...]
+    gains: tuple[float, ...]
+    source: int
+    sink: int
+
+    def packer(self) -> PathPacker:
+        return PathPacker(len(self.ids), self.links, self.gains, self.source, self.sink)
+
+
+def index_network(
+    gains: Mapping[str, float],
+    links: Sequence[tuple[str, str]],
+    source: str,
+    sink: str,
+) -> IndexedNetwork:
+    """Maps named nodes (the keys of gains) and links onto packer indices."""
+    ids = tuple(sorted(gains))
+    index = {n: i for i, n in enumerate(ids)}
+    return IndexedNetwork(
+        ids,
+        tuple((index[u], index[v]) for u, v in links),
+        tuple(float(gains[n]) for n in ids),
+        index[source],
+        index[sink],
+    )
+
+
 @dataclass(frozen=True)
 class PathFlow:
     """One source-sink path and the flow it delivers to the sink."""
@@ -259,8 +301,6 @@ def _indexed_problem(g: DirectedSnapshot):
     for node, gain in g.gains.items():
         if not 0.0 < gain <= 1.0:
             raise ValueError(f"gain of node '{node}' out of (0, 1]: {gain}")
-    node_ids = sorted(g.gains)
-    index = {n: i for i, n in enumerate(node_ids)}
     links: list[tuple[str, str]] = []
     for u, v in sorted(g.arcs):
         if u == g.source or v == g.sink:
@@ -276,15 +316,8 @@ def _indexed_problem(g: DirectedSnapshot):
                 f"internal adjacency ({u}, {v}) lacks its reverse arc; ill-formed snapshot"
             )
     links.sort(key=lambda uv: (min(uv), max(uv)))
-    gains = [g.gains[n] for n in node_ids]
-    packer = PathPacker(
-        len(node_ids),
-        [(index[u], index[v]) for u, v in links],
-        gains,
-        index[g.source],
-        index[g.sink],
-    )
-    return packer, node_ids
+    net = index_network(g.gains, links, g.source, g.sink)
+    return net.packer(), net.ids
 
 
 def assignment_from_paths(

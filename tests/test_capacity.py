@@ -7,7 +7,9 @@ import math
 import pytest
 
 from conftest import make_topology
+from qnetcap import capacity
 from qnetcap.capacity import (
+    SAMPLE_CHUNK,
     CapacityReport,
     StateBudgetError,
     exact_capacity,
@@ -34,6 +36,44 @@ def test_exact_five_node(five_node):
 def test_exact_single_link():
     report = exact_capacity(single_link(0.3), threads=1)
     assert report.value == pytest.approx(0.3, abs=1e-12)
+    # a direct link holding up to c pairs delivers c * p on average, up to
+    # the largest pair count a link may hold
+    for c in (1, 2, 255):
+        t = make_topology({}, [("s", "t")], p=0.3, caps={("s", "t"): c})
+        assert exact_capacity(t, threads=1).value == pytest.approx(c * 0.3, rel=1e-12)
+        sampled = sampled_capacity(t, 500, seed=c, threads=1)
+        assert abs(sampled.value - c * 0.3) <= 5 * sampled.stderr
+
+
+def test_exact_series_chain_is_product():
+    p = {("s", "a"): 0.9, ("a", "b"): 0.7, ("b", "t"): 0.6}
+    t = make_topology({"a": 0.8, "b": 0.5}, list(p), p=p)
+    expected = 0.9 * 0.7 * 0.6 * 0.8 * 0.5
+    assert exact_capacity(t, threads=1).value == pytest.approx(expected, rel=1e-12)
+
+
+def test_exact_disjoint_chains_add():
+    p = {("s", "a"): 0.9, ("a", "t"): 0.4, ("s", "b"): 0.7, ("b", "c"): 0.6, ("c", "t"): 0.8}
+    q = {"a": 0.3, "b": 0.5, "c": 0.9}
+    t = make_topology(q, list(p), p=p)
+    expected = 0.9 * 0.4 * 0.3 + 0.7 * 0.6 * 0.8 * 0.5 * 0.9
+    assert exact_capacity(t, threads=1).value == pytest.approx(expected, rel=1e-12)
+
+
+def test_exact_monotone_in_each_probability_and_gain():
+    pairs = [("s", "a"), ("a", "b"), ("b", "t"), ("s", "b"), ("a", "t")]
+    p = dict(zip(pairs, (0.5, 0.6, 0.7, 0.4, 0.3)))
+    q = {"a": 0.6, "b": 0.7}
+    caps = {("s", "a"): 2, ("b", "t"): 2}
+
+    def capacity(p, q):
+        return exact_capacity(make_topology(q, pairs, p=p, caps=caps), threads=1).value
+
+    base = capacity(p, q)
+    for pair in pairs:
+        assert capacity({**p, pair: p[pair] + 0.2}, q) >= base * (1 - 1e-12)
+    for node in q:
+        assert capacity(p, {**q, node: q[node] + 0.2}) >= base * (1 - 1e-12)
 
 
 def test_exact_budget_guard(five_node):
@@ -152,11 +192,16 @@ def test_sampled_abilene_mux2_converges(abilene_mux2):
     assert abs(report.value - 1.983) <= 3 * report.stderr
 
 
-def test_exact_per_state_csv(five_node):
-    buf = io.StringIO()
-    report = exact_capacity(five_node, threads=1, per_state=buf)
-    buf.seek(0)
-    rows = list(csv.DictReader(buf))
+def test_exact_per_state_csv(five_node, monkeypatch):
+    # smaller chunks, so that two workers share the states
+    monkeypatch.setattr(capacity, "STATE_CHUNK", 1024)
+    out = {}
+    for threads in (1, 2):
+        buf = io.StringIO()
+        report = exact_capacity(five_node, threads=threads, per_state=buf)
+        out[threads] = buf.getvalue()
+    assert out[1] == out[2]
+    rows = list(csv.DictReader(io.StringIO(out[1])))
     assert len(rows) == report.states_evaluated
     assert rows[0]["state_counts"] == ";".join("0" for _ in five_node.links)
     total = math.fsum(float(r["probability"]) for r in rows)
@@ -169,11 +214,15 @@ def test_exact_per_state_csv(five_node):
 
 
 def test_sampled_per_state_csv(five_node):
-    buf = io.StringIO()
-    sampled_capacity(five_node, 256, seed=1, per_state=buf, threads=1)
-    buf.seek(0)
-    rows = list(csv.DictReader(buf))
-    assert len(rows) == 256
+    n = 3 * SAMPLE_CHUNK  # three chunks, so that two workers share them
+    out = {}
+    for threads in (1, 2):
+        buf = io.StringIO()
+        sampled_capacity(five_node, n, seed=1, per_state=buf, threads=threads)
+        out[threads] = buf.getvalue()
+    assert out[1] == out[2]
+    rows = list(csv.DictReader(io.StringIO(out[1])))
+    assert len(rows) == n
     assert all(len(r["state_counts"].split(";")) == len(five_node.links) for r in rows)
 
 

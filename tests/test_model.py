@@ -128,6 +128,16 @@ endpoints: {source: a, sink: b}
         load_topology(doc)
 
 
+def test_capacity_above_byte_limit_rejected():
+    doc = """
+nodes: [{id: a}, {id: b}]
+links: [{u: a, v: b, p: 0.5, c: 256}]
+endpoints: {source: a, sink: b}
+"""
+    with pytest.raises(TopologyError, match=r"links\[0\].*\.c: must be an integer in \[1, 255\]"):
+        load_topology(doc)
+
+
 def test_diagnostics_carry_field_paths():
     doc = """
 nodes: [{id: a}, {id: b}, {id: c, q: 1.5}]

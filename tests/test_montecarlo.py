@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_topology
 from qnetcap.capacity import exact_capacity
-from qnetcap.montecarlo import SimConfig, hop_distances, simulate_local_knowledge
+from qnetcap.montecarlo import TRIAL_CHUNK, SimConfig, hop_distances, simulate_local_knowledge
 
 
 def test_config_rejects_nonpositive_samples():
@@ -90,12 +90,17 @@ def test_isolated_source_delivers_nothing():
 
 
 def test_per_trial_csv(five_node):
-    buf = io.StringIO()
-    result = simulate_local_knowledge(
-        five_node, SimConfig(300, seed=6), per_trial=buf
-    )
-    lines = buf.getvalue().strip().splitlines()
+    n = 2 * TRIAL_CHUNK + 300  # three chunks, so that two workers share them
+    out = {}
+    for threads in (1, 2):
+        buf = io.StringIO()
+        result = simulate_local_knowledge(
+            five_node, SimConfig(n, seed=6), threads=threads, per_trial=buf
+        )
+        out[threads] = buf.getvalue()
+    assert out[1] == out[2]
+    lines = out[1].strip().splitlines()
     assert lines[0] == "trial,delivered"
-    assert len(lines) == 301
+    assert len(lines) == n + 1
     delivered = [int(line.split(",")[1]) for line in lines[1:]]
-    assert sum(delivered) / 300 == pytest.approx(result.mean, abs=1e-12)
+    assert sum(delivered) / n == pytest.approx(result.mean, abs=1e-12)

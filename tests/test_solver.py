@@ -1,5 +1,7 @@
 """Exact solver: worked examples, certificates, properties, oracle parity."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,17 @@ def test_multiplex_transform_equivalent_to_direct_packing(five_node):
             five_node, SnapshotState.from_vector(five_node, vec)
         ).objective
         assert direct == pytest.approx(via_transform, abs=1e-9)
+
+
+def test_packer_restores_recursion_limit(abilene_mux2, five_node):
+    from qnetcap.capacity import full_state_capacity
+
+    start = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        full_state_capacity(abilene_mux2)
+        assert sys.getrecursionlimit() == 1000
+        solve_state(five_node)  # value and best_packing
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(start)
