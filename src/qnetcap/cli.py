@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import yaml
@@ -35,29 +35,21 @@ class RunManifest:
     """Provenance block embedded in every emitted report."""
 
     command: str
-    topology_digest: Optional[str]
+    topology_digest: str
     parameters: dict
     tool_version: str
     timestamp: str
     seed: Optional[int] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "topology_digest": self.topology_digest,
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        """Fields in declaration order; seed only when set."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _manifest(command: str, t: Optional[Topology], params: dict, seed=None) -> RunManifest:
+def _manifest(command: str, t: Topology, params: dict, seed=None) -> RunManifest:
     return RunManifest(
         command=command,
-        topology_digest=t.digest() if t is not None else None,
+        topology_digest=t.digest(),
         parameters=params,
         tool_version=__version__,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -104,6 +96,13 @@ def _parse_state(t: Topology, spec: str) -> SnapshotState:
         if not 0 <= k <= c:
             raise TopologyError([f"state: count {k} outside [0, {c}]"])
     return state
+
+
+def _directed_state(args):
+    """The topology named by --topology and its --state as a directed graph."""
+    t = _resolve_topology(args.topology)
+    unit_t, unit_state = to_unit_capacity(t, _parse_state(t, args.state))
+    return t, to_directed(unit_t, unit_state)
 
 
 def _emit(doc: dict, text: str, out: Optional[str]) -> None:
@@ -162,10 +161,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
-    t = _resolve_topology(args.topology)
-    state = _parse_state(t, args.state)
-    unit_t, unit_state = to_unit_capacity(t, state)
-    g = to_directed(unit_t, unit_state)
+    t, g = _directed_state(args)
     params = {"topology": args.topology, "state": args.state, "solver": args.solver}
     manifest = _manifest("snapshot", t, params)
     lines = []
@@ -222,10 +218,7 @@ def cmd_snapshot(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    t = _resolve_topology(args.topology)
-    state = _parse_state(t, args.state)
-    unit_t, unit_state = to_unit_capacity(t, state)
-    g = to_directed(unit_t, unit_state)
+    t, g = _directed_state(args)
     if args.assignment in datasets.FIXTURE_ASSIGNMENTS:
         assignment = datasets.load_fixture_assignment(args.assignment)
     else:

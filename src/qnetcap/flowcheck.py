@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import yaml
 
+from .model import read_text
 from .snapshot import DirectedSnapshot
 
 TAU = 1e-9  # absolute feasibility tolerance for equality constraints
@@ -80,15 +81,7 @@ class FlowAssignment:
 
 
 def load_assignment(text_or_path) -> FlowAssignment:
-    text = text_or_path
-    if hasattr(text_or_path, "read"):
-        text = text_or_path.read()
-    elif isinstance(text_or_path, str) and "\n" not in text_or_path and (
-        text_or_path.endswith((".yaml", ".yml")) or "/" in text_or_path
-    ):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    document = yaml.safe_load(text)
+    document = yaml.safe_load(read_text(text_or_path))
     if not isinstance(document, Mapping):
         raise ValueError("assignment document must be a mapping with flows/matchings")
     return FlowAssignment.from_document(document)

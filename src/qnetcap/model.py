@@ -299,16 +299,24 @@ def parse_topology(document: Mapping) -> Topology:
     return Topology(tuple(nodes), tuple(links), source, sink, constants)
 
 
-def load_topology(text_or_path) -> Topology:
-    """Loads and fully validates a topology from YAML text or a file path."""
-    text = text_or_path
+def read_text(text_or_path) -> str:
+    """YAML text from a readable handle, a file path, or the text itself.
+
+    A one-line string ending in .yaml/.yml or holding a '/' is a path.
+    """
     if hasattr(text_or_path, "read"):
-        text = text_or_path.read()
-    elif isinstance(text_or_path, str) and "\n" not in text_or_path and (
+        return text_or_path.read()
+    if isinstance(text_or_path, str) and "\n" not in text_or_path and (
         text_or_path.endswith((".yaml", ".yml")) or "/" in text_or_path
     ):
         with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
+    return text_or_path
+
+
+def load_topology(text_or_path) -> Topology:
+    """Loads and fully validates a topology from YAML text or a file path."""
+    text = read_text(text_or_path)
     try:
         document = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -3,10 +3,14 @@
 The optimum of the constrained flow program on a unit-capacity snapshot is
 attained by a set of pairwise edge-disjoint simple source-sink paths, each
 delivering the product of its internal nodes' gain factors. The solver
-searches that space directly with a depth-first include/exclude branch
-scheme over the first live source edge, memoizing optima of pruned residual
-networks so that repeated sub-networks (ubiquitous during state
-enumeration) are solved once.
+searches that space directly. One branch routine, PathPacker._branch, takes
+the first live source link and yields the child that drops it, then one
+child per simple path routed over it. The optimum (_value) and an optimal
+packing (_rebuild) both recurse through it, so they walk the same branches
+in the same order. Optima of pruned residual networks are memoized, so that
+repeated sub-networks (ubiquitous during state enumeration) are solved
+once. Each level of the recursion consumes a pair, which bounds its depth
+by 3 frames per pair plus one open path (see PathPacker._with_stack).
 """
 
 from __future__ import annotations
@@ -98,10 +102,17 @@ class PathPacker:
     def _with_stack(self, search, counts: Sequence[int]):
         """Runs search(list(counts)) with room for its recursion.
 
-        Nested value/extend frames consume >= 1 pair per level, plus slack;
-        a raised recursion limit is put back before returning.
+        Both searches recurse only through _branch. Each level of the
+        recursion is one child of _branch and consumes at least one pair:
+        the excluded first source link holds one or more, and a path holds
+        one per link. A level costs the frames of _value (or _rebuild),
+        _branch and visit, plus one extend frame per path link after the
+        first: at most 3 frames per pair. The open path of the deepest
+        level adds at most num_nodes frames, and 512 frames are left for
+        the caller and the leaf calls. A raised recursion limit is put back
+        before returning.
         """
-        need = 512 + 4 * (self.num_nodes + 2) * (sum(counts) + 2)
+        need = 512 + 3 * sum(counts) + self.num_nodes
         limit = sys.getrecursionlimit()
         if need <= limit:
             return search(list(counts))
@@ -110,6 +121,54 @@ class PathPacker:
             return search(list(counts))
         finally:
             sys.setrecursionlimit(limit)
+
+    def _branch(self, counts: list[int], visit) -> None:
+        """Calls visit(gain, prefix, rest) once per child of a stripped state.
+
+        The first live source link e is branched on. The first child drops
+        e (gain 0.0, prefix None). The others route one more path over e,
+        one per simple source-sink path, in adjacency order: gain is the
+        path's delivered flow, prefix its nodes before the sink (a list
+        valid only during the call), and rest the counts left by the path.
+        Every rest is a fresh list that visit may keep or change.
+        """
+        adj = self.adj
+        gains = self.gains
+        source = self.source
+        sink = self.sink
+        for idx, other in adj[source]:
+            if counts[idx]:
+                e0, u0 = idx, other
+                break
+        rest = counts.copy()
+        rest[e0] = 0
+        visit(0.0, None, rest)
+        counts[e0] -= 1
+        visited = bytearray(self.num_nodes)
+        visited[source] = 1
+        prefix = [source]
+
+        def extend(node: int, gain: float) -> None:
+            prefix.append(node)
+            for idx, w in adj[node]:
+                if not counts[idx] or visited[w]:
+                    continue
+                counts[idx] -= 1
+                if w == sink:
+                    visit(gain, prefix, counts.copy())
+                else:
+                    visited[w] = 1
+                    extend(w, gain * gains[w])
+                    visited[w] = 0
+                counts[idx] += 1
+            prefix.pop()
+
+        if u0 == sink:
+            visit(1.0, prefix, counts.copy())
+        else:
+            visited[u0] = 1
+            extend(u0, gains[u0])
+        counts[e0] += 1
 
     def value(self, counts: Sequence[int]) -> float:
         """Optimal total delivered flow for the given per-link pair counts."""
@@ -124,45 +183,15 @@ class PathPacker:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        adj = self.adj
-        gains = self.gains
-        sink = self.sink
-        for idx, other in adj[self.source]:
-            if counts[idx]:
-                e0, u0 = idx, other
-                break
-        rest = counts.copy()
-        rest[e0] = 0
-        best = self._value(rest)
-        counts[e0] -= 1
-        visited = bytearray(self.num_nodes)
-        visited[self.source] = 1
+        best = 0.0
 
-        def extend(node: int, gain: float) -> None:
+        def visit(gain: float, prefix, rest: list[int]) -> None:
             nonlocal best
-            for idx, w in adj[node]:
-                if not counts[idx] or visited[w]:
-                    continue
-                counts[idx] -= 1
-                if w == sink:
-                    cand = gain + self._value(counts.copy())
-                    if cand > best:
-                        best = cand
-                else:
-                    visited[w] = 1
-                    extend(w, gain * gains[w])
-                    visited[w] = 0
-                counts[idx] += 1
-
-        if u0 == sink:
-            cand = 1.0 + self._value(counts.copy())
+            cand = gain + self._value(rest)
             if cand > best:
                 best = cand
-        else:
-            visited[u0] = 1
-            extend(u0, gains[u0])
-            visited[u0] = 0
-        counts[e0] += 1
+
+        self._branch(counts, visit)
         if len(memo) >= MEMO_CAP:
             memo.clear()
         memo[key] = best
@@ -186,50 +215,18 @@ class PathPacker:
         cached = self._rebuild_memo.get(key)
         if cached is not None:
             return cached
-        adj = self.adj
-        gains = self.gains
         sink = self.sink
-        for idx, other in adj[self.source]:
-            if counts[idx]:
-                e0, u0 = idx, other
-                break
         candidates: list[tuple[tuple[int, ...], ...]] = []
-        rest = counts.copy()
-        rest[e0] = 0
-        if self._value(rest.copy()) == total:
-            candidates.append(self._rebuild(rest))
-        counts[e0] -= 1
-        visited = bytearray(self.num_nodes)
-        visited[self.source] = 1
-        prefix: list[int] = [self.source]
 
-        def extend(node: int, gain: float) -> None:
-            prefix.append(node)
-            for idx, w in adj[node]:
-                if not counts[idx] or visited[w]:
-                    continue
-                counts[idx] -= 1
-                if w == sink:
-                    if gain + self._value(counts.copy()) == total:
-                        path = tuple(prefix) + (sink,)
-                        sub = self._rebuild(counts.copy())
-                        candidates.append(tuple(sorted(sub + (path,))))
-                else:
-                    visited[w] = 1
-                    extend(w, gain * gains[w])
-                    visited[w] = 0
-                counts[idx] += 1
-            prefix.pop()
+        def visit(gain: float, prefix, rest: list[int]) -> None:
+            if gain + self._value(rest.copy()) != total:
+                return
+            sub = self._rebuild(rest)
+            if prefix is not None:
+                sub = tuple(sorted(sub + (tuple(prefix) + (sink,),)))
+            candidates.append(sub)
 
-        if u0 == sink:
-            if 1.0 + self._value(counts.copy()) == total:
-                sub = self._rebuild(counts.copy())
-                candidates.append(tuple(sorted(sub + ((self.source, sink),))))
-        else:
-            visited[u0] = 1
-            extend(u0, gains[u0])
-            visited[u0] = 0
-        counts[e0] += 1
+        self._branch(counts, visit)
         best = min(candidates, key=lambda sol: (len(sol), sol))
         self._rebuild_memo[key] = best
         return best

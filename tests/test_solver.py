@@ -1,5 +1,6 @@
 """Exact solver: worked examples, certificates, properties, oracle parity."""
 
+import math
 import sys
 
 import numpy as np
@@ -99,6 +100,30 @@ def test_deterministic_output(five_node):
     b = solve_state(five_node)
     assert a.objective == b.objective
     assert [p.nodes for p in a.paths] == [p.nodes for p in b.paths]
+
+
+@pytest.mark.parametrize(
+    "t, expected",
+    [
+        # s-a3-a2-t alone (0.5 * 0.5) ties exactly with s-a1-a2-t plus
+        # s-a3-a4-t (0.125 + 0.125): the packing with fewer paths wins
+        (two_route_network(0.25, 0.5, 0.5, 0.25), [("s", "a3", "a2", "t")]),
+        # one path fits through m-t, via a or via b: the least one wins,
+        # though the search meets the b route first (it drops s-a first)
+        (
+            make_topology(
+                {"a": 0.5, "b": 0.5, "m": 0.5},
+                [("s", "a"), ("s", "b"), ("a", "m"), ("b", "m"), ("m", "t")],
+            ),
+            [("s", "a", "m", "t")],
+        ),
+    ],
+    ids=["fewest-paths", "least-path"],
+)
+def test_best_packing_tie_break(t, expected):
+    solution = solve_state(t)
+    assert solution.objective == 0.25
+    assert [p.nodes for p in solution.paths] == expected
 
 
 def test_max_disjoint_paths_two_route():
@@ -282,6 +307,25 @@ def test_multiplex_transform_equivalent_to_direct_packing(five_node):
         assert direct == pytest.approx(via_transform, abs=1e-9)
 
 
+def deep_topologies():
+    """A direct s-t link and a 9-link chain, 255 pairs per link, with their
+    full-state capacities c * prod(q)."""
+    direct = make_topology({}, [("s", "t")], caps={("s", "t"): 255})
+    qmap = {f"a{i}": 0.99 - 0.01 * i for i in range(8)}
+    names = ["s", *qmap, "t"]
+    pairs = list(zip(names, names[1:]))
+    chain = make_topology(qmap, pairs, caps={uv: 255 for uv in pairs})
+    return [(direct, 255.0), (chain, 255 * math.prod(qmap.values()))]
+
+
+def frame_depth():
+    """Frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def test_packer_restores_recursion_limit(abilene_mux2, five_node):
     from qnetcap.capacity import full_state_capacity
 
@@ -292,5 +336,49 @@ def test_packer_restores_recursion_limit(abilene_mux2, five_node):
         assert sys.getrecursionlimit() == 1000
         solve_state(five_node)  # value and best_packing
         assert sys.getrecursionlimit() == 1000
+        # deep enough that the limit is raised for the search and put back
+        for t, expected in deep_topologies():
+            assert full_state_capacity(t) == pytest.approx(expected, rel=1e-12)
+            assert sys.getrecursionlimit() == 1000
     finally:
+        sys.setrecursionlimit(start)
+
+
+def test_packer_fits_its_documented_frame_bound(abilene_mux2):
+    # the search needs at most 512 + 3 * sum(counts) + num_nodes frames above
+    # its caller, so it must complete with exactly that room
+    from qnetcap.capacity import topology_packer
+    from qnetcap.solver import _indexed_problem
+
+    cases = [(topology_packer(t), t.capacities) for t, _ in deep_topologies()]
+    mux_packer, _ = _indexed_problem(directed_state(abilene_mux2))
+    cases.append((mux_packer, [1] * len(mux_packer.links)))
+    start = sys.getrecursionlimit()
+    try:
+        for packer, counts in cases:
+            limit = frame_depth() + 512 + 3 * sum(counts) + packer.num_nodes
+            sys.setrecursionlimit(limit)
+            # on a fresh packer, best_packing runs the whole value search one
+            # frame below its own; value then reads the memo
+            packing = packer.best_packing(counts)
+            delivered = [math.prod(packer.gains[n] for n in p[1:-1]) for p in packing]
+            assert packer.value(counts) == pytest.approx(sum(delivered), rel=1e-12)
+            assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(start)
+
+
+def test_packer_leaves_recursion_limit_alone_on_datasets(monkeypatch, nsfnet, abilene_mux2):
+    from qnetcap.capacity import full_state_capacity
+
+    calls = []
+    start = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+        assert full_state_capacity(nsfnet) > 0.0
+        assert full_state_capacity(abilene_mux2) > 0.0
+        assert calls == []
+    finally:
+        monkeypatch.undo()
         sys.setrecursionlimit(start)
