@@ -38,7 +38,7 @@ from .snapshot import (
     state_bases,
     write_state_rows,
 )
-from .solver import IndexedNetwork, PathPacker, index_network
+from .solver import PathPacker, index_network
 
 EXACT_STATE_BUDGET = 1 << 22
 STATE_CHUNK = 1 << 14  # states per reduction chunk (fixed: determinism contract)
@@ -73,15 +73,10 @@ class CapacityReport:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def topology_network(t: Topology) -> IndexedNetwork:
-    """The topology's nodes, links and gains on packer indices."""
-    gains = {n.id: t.q_of(n.id) for n in t.nodes}
-    return index_network(gains, [(l.u, l.v) for l in t.links], t.source, t.sink)
-
-
 def topology_packer(t: Topology) -> PathPacker:
     """Path-packing engine over the topology's own links and gains."""
-    return topology_network(t).packer()
+    gains = {n.id: t.q_of(n.id) for n in t.nodes}
+    return index_network(gains, [(l.u, l.v) for l in t.links], t.source, t.sink)
 
 
 def full_state_capacity(t: Topology) -> float:
@@ -249,8 +244,8 @@ def truncated_capacity(t: Topology, k: int) -> CapacityReport:
     """
     if k < 1:
         raise ValueError(f"state budget k must be >= 1, got {k}")
-    full_cap = full_state_capacity(t)
     packer = topology_packer(t)
+    full_cap = packer.value(t.capacities)
     pmfs = link_pmfs(t)
     bases = state_bases(t)
     n_links = len(bases)

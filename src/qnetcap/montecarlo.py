@@ -26,7 +26,7 @@ from .capacity import (
     _moments,
     _run_chunks,
     _substream,
-    topology_network,
+    topology_packer,
 )
 from .model import Topology
 from .snapshot import PairSlots
@@ -73,7 +73,9 @@ class _SimPlan:
     """Precomputed arrays for fast per-trial simulation, and the run's seed."""
 
     def __init__(self, t: Topology, seed: int):
-        self.ids, self.links, self.q, self.source, self.sink = topology_network(t)
+        packer = topology_packer(t)
+        self.ids, self.links, self.q = packer.ids, packer.links, packer.gains
+        self.source, self.sink = packer.source, packer.sink
         self.slots = PairSlots(t)
         self.seed = seed
         d_s = hop_distances(t, t.source)

@@ -3,25 +3,31 @@
 The optimum of the constrained flow program on a unit-capacity snapshot is
 attained by a set of pairwise edge-disjoint simple source-sink paths, each
 delivering the product of its internal nodes' gain factors. The solver
-searches that space directly. One branch routine, PathPacker._branch, takes
-the first live source link and yields the child that drops it, then one
-child per simple path routed over it. The optimum (_value) and an optimal
-packing (_rebuild) both recurse through it, so they walk the same branches
-in the same order. Optima of pruned residual networks are memoized, so that
-repeated sub-networks (ubiquitous during state enumeration) are solved
-once. Each level of the recursion consumes a pair, which bounds its depth
-by 3 frames per pair plus one open path (see PathPacker._with_stack).
+searches that space directly, on a multigraph with pair counts per link;
+solve_snapshot folds each relay (a unit-gain node on two links, such as a
+splitter of to_unit_capacity) back into a pair between its neighbours, so
+a state is searched on the same graph as in the capacity engine. One
+branch routine, PathPacker._branch, takes the first live source link and
+yields the child that drops it, then one child per simple path routed over
+it. The optimum (_value) and an optimal packing (_rebuild) both recurse
+through it, so they walk the same branches in the same order. Optima of
+pruned residual networks are memoized, so that repeated sub-networks
+(ubiquitous during state enumeration) are solved once. Each level of the
+recursion consumes a pair, which bounds its depth by 3 frames per pair
+plus one open path (see PathPacker._with_stack).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .flowcheck import FlowAssignment
+from .model import MAX_LINK_PAIRS
 from .snapshot import DirectedSnapshot
 
 MEMO_CAP = 4_000_000  # entries per packer; cleared wholesale when exceeded
@@ -38,17 +44,17 @@ class PathPacker:
 
     def __init__(
         self,
-        num_nodes: int,
+        ids: Sequence[str],
         links: Sequence[tuple[int, int]],
         gains: Sequence[float],
         source: int,
         sink: int,
     ):
-        self.num_nodes = num_nodes
+        self.ids = tuple(ids)
+        self.num_nodes = num_nodes = len(self.ids)
         self.links = tuple((int(u), int(v)) for u, v in links)
         self.gains = tuple(float(g) for g in gains)
-        self.source = source
-        self.sink = sink
+        self.source, self.sink = source, sink
         adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
         for idx, (u, v) in enumerate(self.links):
             adj[u].append((idx, v))
@@ -201,7 +207,8 @@ class PathPacker:
         """One optimal path set: fewest paths, then lexicographically least.
 
         Paths are node-index tuples from source to sink; the returned set is
-        sorted. Deterministic for a given problem.
+        sorted. Deterministic for a given problem. solve_snapshot breaks ties
+        on the graph with relays folded in, then hands out the relays.
         """
         return self._with_stack(self._rebuild, counts)
 
@@ -232,38 +239,15 @@ class PathPacker:
         return best
 
 
-class IndexedNetwork(NamedTuple):
-    """A network on packer indices: node i is ids[i], with ids sorted.
-
-    Sorted ids and the caller's link order set the packer's branch order.
-    """
-
-    ids: tuple[str, ...]
-    links: tuple[tuple[int, int], ...]
-    gains: tuple[float, ...]
-    source: int
-    sink: int
-
-    def packer(self) -> PathPacker:
-        return PathPacker(len(self.ids), self.links, self.gains, self.source, self.sink)
-
-
 def index_network(
-    gains: Mapping[str, float],
-    links: Sequence[tuple[str, str]],
-    source: str,
-    sink: str,
-) -> IndexedNetwork:
-    """Maps named nodes (the keys of gains) and links onto packer indices."""
+    gains: Mapping[str, float], links: Sequence[tuple[str, str]], source: str, sink: str
+) -> PathPacker:
+    """Packer over named nodes (the keys of gains) and links, node i being
+    ids[i]: sorted ids and the caller's link order set the branch order."""
     ids = tuple(sorted(gains))
     index = {n: i for i, n in enumerate(ids)}
-    return IndexedNetwork(
-        ids,
-        tuple((index[u], index[v]) for u, v in links),
-        tuple(float(gains[n]) for n in ids),
-        index[source],
-        index[sink],
-    )
+    links = [(index[u], index[v]) for u, v in links]
+    return PathPacker(ids, links, [gains[n] for n in ids], index[source], index[sink])
 
 
 @dataclass(frozen=True)
@@ -289,32 +273,46 @@ class SnapshotSolution:
 
 
 def _indexed_problem(g: DirectedSnapshot):
-    """Validates a directed snapshot and maps it onto packer inputs."""
-    if g.source == g.sink:
-        raise ValueError("source and sink coincide")
+    """Validates a directed snapshot and maps it onto a packer, with its
+    relays folded into pair counts.
+
+    A relay is an internal node of gain 1 on exactly two links, where
+    neither neighbour is also such a node. It becomes one more pair on the
+    link between its neighbours; past MAX_LINK_PAIRS on one link, relays
+    stay nodes. Ids are sorted and links sorted by endpoint pair. Returns
+    the packer and, per link, the nodes each of its pairs passes: () for
+    the direct link, first, then (relay,) in name order.
+    """
     for endpoint in (g.source, g.sink):
         if endpoint not in g.gains:
             raise ValueError(f"node '{endpoint}' missing from snapshot gains")
     for node, gain in g.gains.items():
         if not 0.0 < gain <= 1.0:
             raise ValueError(f"gain of node '{node}' out of (0, 1]: {gain}")
-    links: list[tuple[str, str]] = []
+    nbrs: dict[str, list[str]] = {}
     for u, v in sorted(g.arcs):
         if u == g.source or v == g.sink:
-            if (v, u) not in g.arcs:
-                links.append((u, v))
-            else:
+            if (v, u) in g.arcs:
                 raise ValueError(f"unexpected reverse arc for ({u}, {v})")
-        elif (v, u) in g.arcs:
-            if u < v:
-                links.append((u, v))
-        else:
+        elif (v, u) not in g.arcs:
             raise ValueError(
                 f"internal adjacency ({u}, {v}) lacks its reverse arc; ill-formed snapshot"
             )
-    links.sort(key=lambda uv: (min(uv), max(uv)))
-    net = index_network(g.gains, links, g.source, g.sink)
-    return net.packer(), net.ids
+        elif u > v:
+            continue
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    routes = {(u, v): [()] for u, ns in nbrs.items() for v in ns if u < v}
+    twos = {n for n, ns in nbrs.items() if len(ns) == 2 and g.gains[n] == 1.0}
+    twos -= {g.source, g.sink}
+    gains = dict(g.gains)
+    for n in sorted(twos):
+        a, b = pair = tuple(sorted(nbrs[n]))
+        if twos.isdisjoint(pair) and len(routes.get(pair, ())) < MAX_LINK_PAIRS:
+            routes.setdefault(pair, []).append((n,))
+            del routes[min(a, n), max(a, n)], routes[min(b, n), max(b, n)], gains[n]
+    links = sorted(routes)
+    return index_network(gains, links, g.source, g.sink), [routes[l] for l in links]
 
 
 def assignment_from_paths(
@@ -337,19 +335,24 @@ def assignment_from_paths(
 
 
 def solve_snapshot(g: DirectedSnapshot) -> SnapshotSolution:
-    """Exact snapshot capacity with a certifying assignment and path set."""
+    """Exact snapshot capacity with a certifying assignment and path set.
+
+    Packs g with its relays folded in (see _indexed_problem), then routes
+    the packed paths, in order, back through g: each link hands out its
+    direct arc first, then its relays in name order.
+    """
     started = time.perf_counter()
-    packer, node_ids = _indexed_problem(g)
-    counts = [1] * len(packer.links)
+    packer, routes = _indexed_problem(g)
+    counts = [len(r) for r in routes]
     objective = packer.value(counts)
-    packed = packer.best_packing(counts)
+    unused = {link: iter(r) for link, r in zip(packer.links, routes)}
     paths = []
-    for path in packed:
-        named = tuple(node_ids[i] for i in path)
-        delivered = 1.0
-        for n in named[1:-1]:
-            delivered *= g.gains[n]
-        paths.append(PathFlow(named, delivered))
+    for path in packer.best_packing(counts):
+        named = [packer.ids[path[0]]]
+        for a, b in zip(path, path[1:]):
+            named += (*next(unused[min(a, b), max(a, b)]), packer.ids[b])
+        delivered = math.prod((g.gains[n] for n in named[1:-1]), start=1.0)
+        paths.append(PathFlow(tuple(named), delivered))
     assignment = assignment_from_paths(g, [p.nodes for p in paths])
     stats = SolveStats(packer.nodes_explored, time.perf_counter() - started)
     return SnapshotSolution(objective, tuple(paths), assignment, stats)

@@ -292,19 +292,98 @@ def test_paths_start_at_source_end_at_sink():
             assert len(set(p.nodes)) == len(p.nodes)
 
 
-def test_multiplex_transform_equivalent_to_direct_packing(five_node):
-    # packing on raw counts must equal solving the splitter-transformed graph
+def test_multiplex_transform_equivalent_to_direct_packing():
+    # solving the splitter-transformed graph runs the capacity engine's search
+    # on the state's own multigraph, so the optima agree to the last bit
     from qnetcap.capacity import topology_packer
 
     rng = np.random.default_rng(CORPUS_SEED + 9)
-    packer = topology_packer(five_node)
-    for _ in range(50):
-        vec = tuple(int(rng.integers(0, c + 1)) for c in five_node.capacities)
-        direct = packer.value(vec)
-        via_transform = solve_state(
-            five_node, SnapshotState.from_vector(five_node, vec)
-        ).objective
-        assert direct == pytest.approx(via_transform, abs=1e-9)
+    for name in datasets.DATASETS:
+        t = datasets.load_dataset(name)
+        packer = topology_packer(t)
+        draws = [tuple(int(rng.integers(0, c + 1)) for c in t.capacities) for _ in range(50)]
+        for vec in [t.capacities, *draws]:
+            direct = packer.value(vec)
+            via_transform = solve_state(t, SnapshotState.from_vector(t, vec)).objective
+            assert via_transform == direct, f"{name} {vec}"
+
+
+RELAY_CASES = {
+    # r is a second a-b pair beside the direct a-b link; both are needed
+    "relay-beside-link": (
+        {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.6, "r": 1.0},
+        [("s", "a"), ("s", "c"), ("c", "a"), ("a", "b"), ("a", "r"), ("r", "b"),
+         ("b", "t"), ("b", "d"), ("d", "t")],
+        {"r"},
+        [("s", "a", "b", "t"), ("s", "c", "a", "r", "b", "d", "t")],
+    ),
+    # the same with an a-u-v-b chain: u and v neighbour each other, so they
+    # stay nodes
+    "adjacent-unit-nodes": (
+        {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.6, "u": 1.0, "v": 1.0},
+        [("s", "a"), ("s", "c"), ("c", "a"), ("a", "b"), ("a", "u"), ("u", "v"),
+         ("v", "b"), ("b", "t"), ("b", "d"), ("d", "t")],
+        set(),
+        [("s", "a", "b", "t"), ("s", "c", "a", "u", "v", "b", "d", "t")],
+    ),
+    # relays on a source link, on a sink link and between source and sink
+    "relays-at-endpoints": (
+        {"a": 0.5, "b": 0.7, "r1": 1.0, "r2": 1.0, "r3": 1.0},
+        [("s", "r1"), ("r1", "a"), ("s", "a"), ("a", "t"), ("a", "r2"), ("r2", "t"),
+         ("s", "b"), ("b", "t"), ("s", "t"), ("s", "r3"), ("r3", "t")],
+        {"r1", "r2", "r3"},
+        [("s", "a", "t"), ("s", "r1", "a", "r2", "t"), ("s", "b", "t"), ("s", "t"),
+         ("s", "r3", "t")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RELAY_CASES)
+def test_relays_fold_into_pair_counts(case):
+    from qnetcap.solver import _indexed_problem
+
+    qmap, pairs, relays, expected_paths = RELAY_CASES[case]
+    g = directed_state(make_topology(qmap, pairs))
+    packer, routes = _indexed_problem(g)
+    assert set(g.gains) - set(packer.ids) == relays
+    assert sum(len(r) for r in routes) == len(pairs) - len(relays)
+    solution = solve_snapshot(g)
+    assert solution.objective == pytest.approx(brute_force_capacity(g), abs=1e-12)
+    # packed paths are routed back through g: direct link first, then relays
+    assert [p.nodes for p in solution.paths] == expected_paths
+    report = check_assignment(g, solution.assignment)
+    assert report.feasible
+    assert report.objective == pytest.approx(solution.objective, abs=1e-12)
+    delivered = math.fsum(p.delivered for p in solution.paths)
+    assert delivered == pytest.approx(solution.objective, abs=1e-12)
+
+
+def test_relays_past_the_pair_limit_stay_nodes():
+    # 300 relays between source and sink: 255 fold into the s-t link (one
+    # byte per link in the memo key), the other 45 stay nodes
+    from qnetcap.snapshot import DirectedSnapshot
+    from qnetcap.solver import _indexed_problem
+
+    relays = [f"r{i:03d}" for i in range(300)]
+    arcs = {("s", r) for r in relays} | {(r, "t") for r in relays}
+    gains = {"s": 1.0, "t": 1.0, **{r: 1.0 for r in relays}}
+    g = DirectedSnapshot(frozenset(arcs), gains, "s", "t")
+    packer, routes = _indexed_problem(g)
+    assert packer.num_nodes == 2 + 45
+    assert max(len(r) for r in routes) == 255
+    solution = solve_snapshot(g)
+    assert solution.objective == 300.0
+    assert check_assignment(g, solution.assignment).feasible
+
+
+def test_snapshot_search_folds_splitters(abilene_mux2):
+    # the splitters of the all-pairs state fold back into abilene_mux2's own
+    # pair counts; a search over the 39-node splitter graph takes 432,303 nodes
+    from qnetcap.capacity import full_state_capacity
+
+    solution = solve_state(abilene_mux2)
+    assert solution.stats.nodes_explored < 2_000
+    assert solution.objective == full_state_capacity(abilene_mux2)
 
 
 def deep_topologies():
@@ -348,11 +427,14 @@ def test_packer_fits_its_documented_frame_bound(abilene_mux2):
     # the search needs at most 512 + 3 * sum(counts) + num_nodes frames above
     # its caller, so it must complete with exactly that room
     from qnetcap.capacity import topology_packer
-    from qnetcap.solver import _indexed_problem
+    from qnetcap.solver import index_network
 
     cases = [(topology_packer(t), t.capacities) for t, _ in deep_topologies()]
-    mux_packer, _ = _indexed_problem(directed_state(abilene_mux2))
-    cases.append((mux_packer, [1] * len(mux_packer.links)))
+    # abilene_mux2's 39-node splitter graph, unfolded
+    g = directed_state(abilene_mux2)
+    links = sorted({tuple(sorted(arc)) for arc in g.arcs})
+    cases.append((index_network(g.gains, links, g.source, g.sink), [1] * len(links)))
+    assert cases[-1][0].num_nodes == 39
     start = sys.getrecursionlimit()
     try:
         for packer, counts in cases:
