@@ -166,10 +166,8 @@ def cmd_snapshot(args) -> int:
     manifest = _manifest("snapshot", t, params)
     lines = []
     doc: dict = {"manifest": manifest.as_dict()}
-    objective = None
     if args.solver in ("bnb", "both"):
         solution = solve_snapshot(g)
-        objective = solution.objective
         lines.append(f"objective:            {solution.objective!r}")
         lines.append(f"paths ({len(solution.paths)}):")
         for p in solution.paths:
@@ -204,15 +202,13 @@ def cmd_snapshot(args) -> int:
         lines.append(f"brute-force value:    {brute!r}")
         doc["oracle_objective"] = brute
         if args.solver == "both":
-            if abs(brute - objective) > 1e-9:
+            if abs(brute - solution.objective) > 1e-9:
                 print(
-                    f"error: solver/oracle mismatch: {objective!r} vs {brute!r}",
+                    f"error: solver/oracle mismatch: {solution.objective!r} vs {brute!r}",
                     file=sys.stderr,
                 )
                 return 1
             lines.append("solver and brute force agree within 1e-9")
-        else:
-            objective = brute
     _emit(doc, "\n".join(lines), args.out)
     return 0
 

@@ -118,7 +118,7 @@ class Topology:
         object.__setattr__(
             self, "links", tuple(sorted(self.links, key=lambda l: l.key))
         )
-        diags = validate_topology(self, _skip_sort=True)
+        diags = validate_topology(self)
         if diags:
             raise TopologyError(diags)
 
@@ -175,7 +175,7 @@ def _role_of(node_id: str, source: str, sink: str) -> str:
     return ROLE_INTERNAL
 
 
-def validate_topology(t: Topology, _skip_sort: bool = False) -> list[str]:
+def validate_topology(t: Topology) -> list[str]:
     """All data-model invariant violations, one diagnostic string each."""
     diags: list[str] = []
     ids = [n.id for n in t.nodes]

@@ -118,14 +118,9 @@ def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
         ends = incident.get(node)
         if not ends or len(ends) < 2:
             continue
-
-        def end_key(inst: int) -> tuple:
-            l, m = instances[inst]
-            u, v = plan.links[l]
-            other = v if u == node else u
-            return (plan.ids[other], m)
-
-        remaining = sorted(ends, key=end_key)
+        # the keys (cost, other ids, m's) are unique on a simple graph, so
+        # the order of remaining never matters
+        remaining = list(ends)
         while len(remaining) >= 2:
             best = None
             for a in remaining:

@@ -7,14 +7,15 @@ searches that space directly, on a multigraph with pair counts per link;
 solve_snapshot folds each relay (a unit-gain node on two links, such as a
 splitter of to_unit_capacity) back into a pair between its neighbours, so
 a state is searched on the same graph as in the capacity engine. One
-branch routine, PathPacker._branch, takes the first live source link and
+branch generator, PathPacker._branch, takes the first live source link and
 yields the child that drops it, then one child per simple path routed over
-it. The optimum (_value) and an optimal packing (_rebuild) both recurse
-through it, so they walk the same branches in the same order. Optima of
-pruned residual networks are memoized, so that repeated sub-networks
-(ubiquitous during state enumeration) are solved once. Each level of the
-recursion consumes a pair, which bounds its depth by 3 frames per pair
-plus one open path (see PathPacker._with_stack).
+it, walking the paths with a stack of adjacency iterators. The optimum
+(_value) and an optimal packing (_rebuild) both loop over its children, so
+they walk the same branches in the same order. Optima of pruned residual
+networks are memoized, so that repeated sub-networks (ubiquitous during
+state enumeration) are solved once. The search recurses one frame per
+child, and each child holds fewer pairs on the source's links, which
+bounds its depth (see PathPacker._with_stack).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ class PathPacker:
             adj[u].append((idx, v))
             adj[v].append((idx, u))
         self.adj = tuple(tuple(sorted(entries)) for entries in adj)
+        self.source_links = self.adj[source]
         self.memo: dict[bytes, float] = {}
         self._rebuild_memo: dict[bytes, tuple[tuple[int, ...], ...]] = {}
         self.nodes_explored = 0
@@ -108,18 +110,17 @@ class PathPacker:
     def _with_stack(self, search, counts: Sequence[int]):
         """Runs search(list(counts)) with room for its recursion.
 
-        Both searches recurse only through _branch. Each level of the
-        recursion is one child of _branch and consumes at least one pair:
-        the excluded first source link holds one or more, and a path holds
-        one per link. A level costs the frames of _value (or _rebuild),
-        _branch and visit, plus one extend frame per path link after the
-        first: at most 3 frames per pair. The open path of the deepest
-        level adds at most num_nodes frames, and 512 frames are left for
-        the caller and the leaf calls. A raised recursion limit is put back
-        before returning.
+        Both searches recurse one frame per child of _branch, and every
+        child holds at least one pair fewer on the source's links: the
+        dropped first live source link held one or more, and a path uses
+        one. So the depth is at most the pairs on the source's links, and
+        512 frames are left for the caller and the leaf calls. A raised
+        recursion limit is put back before returning.
         """
-        need = 512 + 3 * sum(counts) + self.num_nodes
         limit = sys.getrecursionlimit()
+        need = 512 + sum(counts)
+        if need > limit:  # all pairs bound the source's, and sum faster
+            need = 512 + sum(counts[idx] for idx, _ in self.source_links)
         if need <= limit:
             return search(list(counts))
         sys.setrecursionlimit(need)
@@ -128,53 +129,53 @@ class PathPacker:
         finally:
             sys.setrecursionlimit(limit)
 
-    def _branch(self, counts: list[int], visit) -> None:
-        """Calls visit(gain, prefix, rest) once per child of a stripped state.
+    def _branch(self, counts: list[int]):
+        """Yields (gain, prefix, rest) once per child of a stripped state.
 
         The first live source link e is branched on. The first child drops
         e (gain 0.0, prefix None). The others route one more path over e,
-        one per simple source-sink path, in adjacency order: gain is the
-        path's delivered flow, prefix its nodes before the sink (a list
-        valid only during the call), and rest the counts left by the path.
-        Every rest is a fresh list that visit may keep or change.
+        one per simple source-sink path, depth first in adjacency order:
+        gain is the path's delivered flow, prefix its nodes before the sink
+        (a list valid until the next child), and rest the counts left by
+        the path. Every rest is a fresh list that the caller may keep or
+        change. counts is restored once the children are exhausted.
         """
         adj = self.adj
         gains = self.gains
-        source = self.source
         sink = self.sink
-        for idx, other in adj[source]:
-            if counts[idx]:
-                e0, u0 = idx, other
+        for first in self.source_links:
+            if counts[first[0]]:
                 break
         rest = counts.copy()
-        rest[e0] = 0
-        visit(0.0, None, rest)
-        counts[e0] -= 1
+        rest[first[0]] = 0
+        yield 0.0, None, rest
+        # depth first over e: gain and untried are the last prefix node's
+        # path gain and unvisited links; stack keeps those of each earlier
+        # prefix node, with the link taken out of it, for the way back
         visited = bytearray(self.num_nodes)
-        visited[source] = 1
-        prefix = [source]
-
-        def extend(node: int, gain: float) -> None:
-            prefix.append(node)
-            for idx, w in adj[node]:
-                if not counts[idx] or visited[w]:
-                    continue
-                counts[idx] -= 1
-                if w == sink:
-                    visit(gain, prefix, counts.copy())
-                else:
+        visited[self.source] = 1
+        prefix = [self.source]
+        gain, untried = 1.0, iter((first,))
+        stack = []
+        while True:
+            for idx, w in untried:
+                if counts[idx] and not visited[w]:
+                    counts[idx] -= 1
+                    if w == sink:
+                        yield gain, prefix, counts.copy()
+                        counts[idx] += 1
+                        continue
                     visited[w] = 1
-                    extend(w, gain * gains[w])
-                    visited[w] = 0
+                    prefix.append(w)
+                    stack.append((gain, idx, untried))
+                    gain, untried = gain * gains[w], iter(adj[w])
+                    break
+            else:
+                if not stack:
+                    return
+                visited[prefix.pop()] = 0
+                gain, idx, untried = stack.pop()
                 counts[idx] += 1
-            prefix.pop()
-
-        if u0 == sink:
-            visit(1.0, prefix, counts.copy())
-        else:
-            visited[u0] = 1
-            extend(u0, gains[u0])
-        counts[e0] += 1
 
     def value(self, counts: Sequence[int]) -> float:
         """Optimal total delivered flow for the given per-link pair counts."""
@@ -190,14 +191,10 @@ class PathPacker:
         if cached is not None:
             return cached
         best = 0.0
-
-        def visit(gain: float, prefix, rest: list[int]) -> None:
-            nonlocal best
+        for gain, _, rest in self._branch(counts):
             cand = gain + self._value(rest)
             if cand > best:
                 best = cand
-
-        self._branch(counts, visit)
         if len(memo) >= MEMO_CAP:
             memo.clear()
         memo[key] = best
@@ -222,18 +219,14 @@ class PathPacker:
         cached = self._rebuild_memo.get(key)
         if cached is not None:
             return cached
-        sink = self.sink
         candidates: list[tuple[tuple[int, ...], ...]] = []
-
-        def visit(gain: float, prefix, rest: list[int]) -> None:
+        for gain, prefix, rest in self._branch(counts):
             if gain + self._value(rest.copy()) != total:
-                return
+                continue
             sub = self._rebuild(rest)
             if prefix is not None:
-                sub = tuple(sorted(sub + (tuple(prefix) + (sink,),)))
+                sub = tuple(sorted(sub + ((*prefix, self.sink),)))
             candidates.append(sub)
-
-        self._branch(counts, visit)
         best = min(candidates, key=lambda sol: (len(sol), sol))
         self._rebuild_memo[key] = best
         return best
@@ -291,15 +284,13 @@ def _indexed_problem(g: DirectedSnapshot):
             raise ValueError(f"gain of node '{node}' out of (0, 1]: {gain}")
     nbrs: dict[str, list[str]] = {}
     for u, v in sorted(g.arcs):
-        if u == g.source or v == g.sink:
-            if (v, u) in g.arcs:
-                raise ValueError(f"unexpected reverse arc for ({u}, {v})")
-        elif (v, u) not in g.arcs:
-            raise ValueError(
-                f"internal adjacency ({u}, {v}) lacks its reverse arc; ill-formed snapshot"
-            )
-        elif u > v:
-            continue
+        if u != g.source and v != g.sink:
+            if (v, u) not in g.arcs:
+                raise ValueError(
+                    f"internal adjacency ({u}, {v}) lacks its reverse arc; ill-formed snapshot"
+                )
+            if u > v:
+                continue
         nbrs.setdefault(u, []).append(v)
         nbrs.setdefault(v, []).append(u)
     routes = {(u, v): [()] for u, ns in nbrs.items() for v in ns if u < v}

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_topology, random_instance
 from qnetcap.model import LinkSpec, Topology
 from qnetcap.snapshot import (
+    DirectedSnapshot,
     SnapshotState,
     enumerate_states,
     link_pmfs,
@@ -162,6 +163,22 @@ def test_directed_arc_rules():
     assert ("a", "b") in g.arcs and ("b", "a") in g.arcs
     assert ("s", "t") in g.arcs
     assert g.gains["s"] == 1.0 and g.gains["t"] == 1.0 and g.gains["a"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "arcs, sink, message",
+    [
+        ({("s", "a")}, "s", "source and sink coincide"),
+        ({("a", "a")}, "t", r"self-arc \(a, a\) forbidden"),
+        ({("a", "s")}, "t", r"arc \(a, s\) enters the source"),
+        ({("t", "a")}, "t", r"arc \(t, a\) leaves the sink"),
+        ({("s", "x")}, "t", r"arc \(s, x\) references node without a gain"),
+    ],
+)
+def test_directed_snapshot_rejects_ill_formed_arcs(arcs, sink, message):
+    gains = {"s": 1.0, "a": 0.5, "t": 1.0}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DirectedSnapshot(frozenset(arcs), gains, "s", sink)
 
 
 def test_directed_empty_state(five_node):

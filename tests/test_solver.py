@@ -397,6 +397,13 @@ def deep_topologies():
     return [(direct, 255.0), (chain, 255 * math.prod(qmap.values()))]
 
 
+def two_deep_source_links():
+    """s-a, s-t and a-t with 255 pairs each and q_a = 0.9: 510 pairs on the
+    source's links, 510 paths delivering 255 + 255 * 0.9."""
+    caps = {("s", "a"): 255, ("s", "t"): 255, ("a", "t"): 255}
+    return make_topology({"a": 0.9}, list(caps), caps=caps)
+
+
 def frame_depth():
     """Frames on the caller's stack."""
     frame, depth = sys._getframe(1), 0
@@ -405,8 +412,8 @@ def frame_depth():
     return depth
 
 
-def test_packer_restores_recursion_limit(abilene_mux2, five_node):
-    from qnetcap.capacity import full_state_capacity
+def test_packer_restores_recursion_limit(abilene_mux2, five_node, monkeypatch):
+    from qnetcap.capacity import full_state_capacity, topology_packer
 
     start = sys.getrecursionlimit()
     try:
@@ -415,21 +422,37 @@ def test_packer_restores_recursion_limit(abilene_mux2, five_node):
         assert sys.getrecursionlimit() == 1000
         solve_state(five_node)  # value and best_packing
         assert sys.getrecursionlimit() == 1000
-        # deep enough that the limit is raised for the search and put back
         for t, expected in deep_topologies():
             assert full_state_capacity(t) == pytest.approx(expected, rel=1e-12)
             assert sys.getrecursionlimit() == 1000
+        # deep enough that the limit is raised for each search and put back
+        calls = []
+        set_limit = sys.setrecursionlimit
+
+        def spy(n):
+            calls.append(n)
+            set_limit(n)
+
+        monkeypatch.setattr(sys, "setrecursionlimit", spy)
+        t = two_deep_source_links()
+        packer = topology_packer(t)
+        assert packer.value(t.capacities) == pytest.approx(484.5, rel=1e-12)
+        assert len(packer.best_packing(t.capacities)) == 510
+        assert calls == [1022, 1000, 1022, 1000]
+        assert sys.getrecursionlimit() == 1000
     finally:
+        monkeypatch.undo()
         sys.setrecursionlimit(start)
 
 
 def test_packer_fits_its_documented_frame_bound(abilene_mux2):
-    # the search needs at most 512 + 3 * sum(counts) + num_nodes frames above
-    # its caller, so it must complete with exactly that room
+    # the search needs at most 512 frames above its caller plus one per pair
+    # on the source's links, so it must complete with exactly that room
     from qnetcap.capacity import topology_packer
     from qnetcap.solver import index_network
 
-    cases = [(topology_packer(t), t.capacities) for t, _ in deep_topologies()]
+    topologies = [t for t, _ in deep_topologies()] + [two_deep_source_links()]
+    cases = [(topology_packer(t), t.capacities) for t in topologies]
     # abilene_mux2's 39-node splitter graph, unfolded
     g = directed_state(abilene_mux2)
     links = sorted({tuple(sorted(arc)) for arc in g.arcs})
@@ -438,7 +461,10 @@ def test_packer_fits_its_documented_frame_bound(abilene_mux2):
     start = sys.getrecursionlimit()
     try:
         for packer, counts in cases:
-            limit = frame_depth() + 512 + 3 * sum(counts) + packer.num_nodes
+            source_pairs = sum(
+                c for link, c in zip(packer.links, counts) if packer.source in link
+            )
+            limit = frame_depth() + 512 + source_pairs
             sys.setrecursionlimit(limit)
             # on a fresh packer, best_packing runs the whole value search one
             # frame below its own; value then reads the memo
@@ -460,7 +486,24 @@ def test_packer_leaves_recursion_limit_alone_on_datasets(monkeypatch, nsfnet, ab
         monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
         assert full_state_capacity(nsfnet) > 0.0
         assert full_state_capacity(abilene_mux2) > 0.0
+        for t, expected in deep_topologies():
+            assert full_state_capacity(t) == pytest.approx(expected, rel=1e-12)
         assert calls == []
     finally:
         monkeypatch.undo()
         sys.setrecursionlimit(start)
+
+
+@pytest.mark.parametrize(
+    "name, nodes, memo", [("five_node", 23, 11), ("abilene_mux2", 447, 87), ("nsfnet", 198, 29)]
+)
+def test_packer_visit_order_is_pinned(name, nodes, memo):
+    # the search's node and memo counts on the full state depend on the order
+    # in which it walks its children, which these counts pin
+    from qnetcap.capacity import topology_packer
+
+    t = datasets.load_dataset(name)
+    packer = topology_packer(t)
+    packer.value(t.capacities)
+    assert packer.nodes_explored == nodes
+    assert len(packer.memo) == memo
