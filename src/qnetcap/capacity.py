@@ -1,17 +1,32 @@
 """Network capacity: expectation of per-state optima over the state space.
 
-Three modes share one state-evaluation engine:
+Three modes:
 
-  exact      full enumeration of the mixed-radix state space
+  exact      the expectation over every state, by conditioning (below); with
+             per_state, by enumerating the mixed-radix state space, one
+             CSV row per state
   truncated  best-first sweep of the k most likely states, with bounds
              (unseen probability mass is bracketed by 0 and the all-pairs
              state's capacity)
   sampled    plain Monte Carlo over states with a counter-based RNG
 
-Runs split their states into fixed-size chunks. Each chunk reduces its
-terms with math.fsum, which is exactly rounded, and the chunk sums are
-combined with math.fsum again; since the chunks do not depend on the
-worker count, results are bit-identical for any number of workers.
+Exact mode conditions on one variable at a time (the factoring theorem with
+series reductions). Each maximal chain of links through internal nodes of
+degree 2 is one variable: a path through such a node takes one pair of
+each of its links, so only the chain's least pair count matters, and
+P(min >= k) is the product of the links' tails. Every other link is a
+variable of its own. At each node of the conditioning tree, the undecided
+variables are put at full capacity and the residual graph is stripped
+(PathPacker._strip): a cut-off sink makes the subtree worth 0, and the
+links the strip drops lie on no path in any completion, so their variables
+sum out. The tree branches on the undecided variable nearest the source,
+and a node with none left is a leaf, worth the packer's optimum.
+
+Runs split their work into fixed jobs: chunks of states or samples, or the
+subtrees TREE_JOB_DEPTH levels below the root of the tree. Each job's
+terms are reduced with math.fsum, which is exactly rounded, and the job
+sums are combined with math.fsum again; since the jobs do not depend on
+the worker count, results are bit-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -42,11 +57,12 @@ from .solver import PathPacker, index_network
 
 EXACT_STATE_BUDGET = 1 << 22
 STATE_CHUNK = 1 << 14  # states per reduction chunk (fixed: determinism contract)
+TREE_JOB_DEPTH = 5  # tree levels above the exact jobs (fixed: determinism contract)
 SAMPLE_CHUNK = 1 << 12  # samples per RNG block (fixed: substream derivation)
 
 
 class StateBudgetError(ValueError):
-    """Exact enumeration refused because the state space exceeds the budget."""
+    """Exact run refused because the state space exceeds the budget."""
 
 
 @dataclass(frozen=True)
@@ -169,19 +185,18 @@ def _substream(seed: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=((seed & mask) << 64) | (i & mask)))
 
 
-def _exact_chunk(engine: _Engine, job: tuple[int, int, bool]):
-    start, stop, want_rows = job
+def _exact_chunk(engine: _Engine, job: tuple[int, int]):
+    start, stop = job
     packer = engine.packer
     # packed doubles: a chunk's terms take 8 bytes each, not a float object
     terms = array("d")
     probs = array("d")
-    rows = [] if want_rows else None
+    rows = []
     for index, vec, prob in odometer(engine.bases, engine.pmfs, start, stop):
         cap = packer.value(vec)
         terms.append(prob * cap)
         probs.append(prob)
-        if rows is not None:
-            rows.append((index, tuple(vec), prob, cap))
+        rows.append((index, tuple(vec), prob, cap))
     return (math.fsum(terms), math.fsum(probs)), rows
 
 
@@ -206,31 +221,232 @@ def _sample_chunk(engine: _Engine, job: tuple[int, int, int, bool]):
     return _moments(caps), rows
 
 
+def series_chains(t: Topology) -> list[tuple[int, ...]]:
+    """Link indices of each maximal chain of links joined at internal nodes
+    of degree 2, in the order of the chains' first links; a link at no such
+    node is a chain of its own. A chain may close into a cycle."""
+    at: dict[str, list[int]] = {}
+    for i, link in enumerate(t.links):
+        at.setdefault(link.u, []).append(i)
+        at.setdefault(link.v, []).append(i)
+    joints = {
+        n for n, links in at.items() if len(links) == 2 and n not in (t.source, t.sink)
+    }
+    chain_of: list[Optional[int]] = [None] * len(t.links)
+    chains = []
+    for i in range(len(t.links)):
+        if chain_of[i] is not None:
+            continue
+        chain_of[i] = len(chains)
+        chain, frontier = [i], [i]
+        while frontier:
+            link = t.links[frontier.pop()]
+            for n in (link.u, link.v):
+                if n not in joints:
+                    continue
+                for j in at[n]:
+                    if chain_of[j] is None:
+                        chain_of[j] = len(chains)
+                        chain.append(j)
+                        frontier.append(j)
+        chains.append(tuple(sorted(chain)))
+    return chains
+
+
+def chain_pmf(pmfs: Sequence[Sequence[float]]) -> tuple[float, ...]:
+    """pmf of the least of independent counts with the given pmfs.
+
+    P(min >= k) is the product of the counts' tails, each an exactly
+    rounded sum, so the tails never increase with k and their differences
+    are never negative. A single count keeps its own pmf.
+    """
+    if len(pmfs) == 1:
+        return tuple(pmfs[0])
+    top = min(len(pmf) for pmf in pmfs)
+    tails = [math.prod(math.fsum(pmf[k:]) for pmf in pmfs) for k in range(top)]
+    tails.append(0.0)
+    return tuple(tails[k] - tails[k + 1] for k in range(top))
+
+
+class _ChainTree:
+    """Conditioning tree of one topology over its series chains (see the
+    module docstring), with a packer as leaf evaluator.
+
+    A tree node is a count vector and a bit mask of the open (undecided
+    and relevant) chains, whose links hold their full capacity in the
+    vector. Nodes are settled in place: stripped, with the chains the strip
+    drops taken out of the mask.
+    """
+
+    def __init__(self, t: Topology, packer: PathPacker):
+        self.packer = packer
+        self.capacities = list(t.capacities)
+        self.chains = series_chains(t)
+        pmfs = link_pmfs(t)
+        self.pmfs = [chain_pmf([pmfs[l] for l in chain]) for chain in self.chains]
+        self.chain_of = [0] * len(t.links)
+        for j, chain in enumerate(self.chains):
+            for l in chain:
+                self.chain_of[l] = j
+        self.mask_bytes = (len(self.chains) + 7) // 8
+
+    def _settle(self, counts: list[int], open_: int, kept: bool) -> Optional[tuple[int, int]]:
+        """Strips the node; None if the sink is cut off, else the open mask
+        left and the open chain to branch on, -1 at a leaf. The chain is the
+        first open one met by a breadth-first search from the source.
+
+        kept: the node holds pairs on the same links as its settled parent
+        (only counts changed), so stripping would change nothing.
+        """
+        packer = self.packer
+        live = open_
+        if not kept:
+            if not packer._strip(counts):
+                return None
+            chains, rest = self.chains, open_
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if not counts[chains[bit.bit_length() - 1][0]]:
+                    live ^= bit
+        if not live:
+            return live, -1
+        adj, chain_of = packer.adj, self.chain_of
+        seen = bytearray(packer.num_nodes)
+        seen[packer.source] = 1
+        queue = [packer.source]
+        for u in queue:
+            for idx, w in adj[u]:
+                if counts[idx]:
+                    j = chain_of[idx]
+                    if live >> j & 1:
+                        return live, j
+                    if not seen[w]:
+                        seen[w] = 1
+                        queue.append(w)
+        raise AssertionError("an open chain outlived the strip")
+
+    def _children(self, counts: list[int], live: int, j: int) -> Iterator:
+        """(probability, counts, open mask, kept) of each child with chain
+        j decided, in count order; children of probability 0 are left out.
+        A child with pairs on j keeps the links of its parent (see _settle)."""
+        links, rest = self.chains[j], live & ~(1 << j)
+        for k, prob in enumerate(self.pmfs[j]):
+            if prob:
+                child = counts.copy()
+                for l in links:
+                    child[l] = k
+                yield prob, child, rest, k > 0
+
+    def prefixes(self, depth: int) -> list[tuple[float, Optional[tuple]]]:
+        """(mass, node) of the tree's nodes `depth` levels down and of its
+        shallower leaves and cut-off nodes, depth first; node is None where
+        the sink is cut off, else the settled (counts, open mask)."""
+        out = []
+        stack = [(1.0, self.capacities.copy(), (1 << len(self.chains)) - 1, False, 0)]
+        while stack:
+            mass, counts, open_, kept, level = stack.pop()
+            settled = self._settle(counts, open_, kept)
+            if settled is None:
+                out.append((mass, None))
+                continue
+            live, j = settled
+            if j < 0 or level == depth:
+                out.append((mass, (counts, live)))
+                continue
+            children = list(self._children(counts, live, j))
+            for prob, child, rest, kept in reversed(children):
+                stack.append((mass * prob, child, rest, kept, level + 1))
+        return out
+
+    def expected(self, counts: list[int], open_: int) -> float:
+        """Expected leaf value below one node, over its open chains.
+
+        The walk keeps one frame per interior node on the way down: its
+        memo key, its children still to come, their weighted values so far
+        and the probability of the child being walked. Interior nodes are
+        memoized on the settled counts plus the open mask, which no count
+        can be confused with.
+        """
+        packer, mask_bytes = self.packer, self.mask_bytes
+        memo: dict[bytes, float] = {}
+        frames: list[list] = []
+        kept = True  # a job's node comes settled
+        while True:
+            settled = self._settle(counts, open_, kept)
+            if settled is None:
+                value = 0.0
+            elif settled[1] < 0:
+                # settled counts are stripped, as the packer keys its memo
+                value = packer.memo.get(bytes(counts))
+                if value is None:
+                    value = packer.value(counts)
+            else:
+                live, j = settled
+                key = bytes(counts) + live.to_bytes(mask_bytes, "little")
+                value = memo.get(key)
+                if value is None:
+                    children = self._children(counts, live, j)
+                    prob, counts, open_, kept = next(children)
+                    frames.append([key, children, [], prob])
+                    continue
+            while frames:
+                key, children, terms, prob = frame = frames[-1]
+                terms.append(prob * value)
+                child = next(children, None)
+                if child is not None:
+                    frame[3], counts, open_, kept = child
+                    break
+                frames.pop()
+                value = memo[key] = math.fsum(terms)
+            else:
+                return value
+
+
+def _tree_job(tree: _ChainTree, job: tuple[list[int], int]) -> float:
+    return tree.expected(*job)
+
+
 def exact_capacity(
     t: Topology,
     threads: int = 0,
     budget: Optional[int] = EXACT_STATE_BUDGET,
     per_state: Optional[object] = None,
 ) -> CapacityReport:
-    """Exact capacity: sum of P(state) * capacity(state) over every state."""
+    """Exact capacity: sum of P(state) * capacity(state) over every state.
+
+    The sum is taken over the conditioning tree of series chains, whose
+    subtrees TREE_JOB_DEPTH levels down are the jobs. With per_state (a
+    path or a text handle) every state is enumerated instead, and written
+    as one CSV row. budget bounds the number of states in either case.
+    """
     n = num_states(t)
     if budget is not None and n > budget:
         raise StateBudgetError(
             f"state space holds {n} states, over the budget of {budget}; "
             "use truncated_capacity or sampled_capacity, or raise the budget"
         )
-    full_cap = full_state_capacity(t)
-    want_rows = per_state is not None
-    jobs = [(a, min(a + STATE_CHUNK, n), want_rows) for a in range(0, n, STATE_CHUNK)]
-    chunks = _run_chunks(partial(_Engine, t), jobs, _exact_chunk, threads)
-    parts = _drain(chunks, per_state, write_state_rows)
-    value = math.fsum(v for v, _ in parts)
+    packer = topology_packer(t)
+    full_cap = packer.value(t.capacities)
+    if per_state is None:
+        build = partial(_ChainTree, t, packer)
+        prefixes = build().prefixes(TREE_JOB_DEPTH)
+        jobs = [(mass, node) for mass, node in prefixes if node is not None]
+        values = list(_run_chunks(build, [node for _, node in jobs], _tree_job, threads))
+        value = math.fsum(mass * v for (mass, _), v in zip(jobs, values))
+        covered = math.fsum(mass for mass, _ in prefixes)
+    else:
+        jobs = [(a, min(a + STATE_CHUNK, n)) for a in range(0, n, STATE_CHUNK)]
+        chunks = _run_chunks(partial(_Engine, t), jobs, _exact_chunk, threads)
+        parts = _drain(chunks, per_state, write_state_rows)
+        value = math.fsum(v for v, _ in parts)
+        covered = math.fsum(c for _, c in parts)
     return CapacityReport(
         mode="exact",
         value=value,
         lower=value,
         upper=value,
-        covered_probability=math.fsum(c for _, c in parts),
+        covered_probability=covered,
         full_state_capacity=full_cap,
         states_evaluated=n,
     )

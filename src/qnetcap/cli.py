@@ -26,7 +26,7 @@ from . import __version__, capacity as capacity_mod, datasets, montecarlo
 from .flowcheck import ALL_CONSTRAINTS, check_assignment, load_assignment
 from .model import Topology, TopologyError, load_topology
 from .oracle import SizeGuardError, brute_force_capacity
-from .snapshot import SnapshotState, to_directed, to_unit_capacity
+from .snapshot import SnapshotState, check_vector, to_directed, to_unit_capacity
 from .solver import solve_snapshot
 
 
@@ -92,9 +92,7 @@ def _parse_state(t: Topology, spec: str) -> SnapshotState:
         canonical = t.link_ids[t.link_index[lid]]
         counts[canonical] = count
     state = SnapshotState.from_counts(t, counts)
-    for k, c in zip(state.vector, t.capacities):
-        if not 0 <= k <= c:
-            raise TopologyError([f"state: count {k} outside [0, {c}]"])
+    check_vector(t, state.vector)
     return state
 
 

@@ -132,7 +132,21 @@ def state_from_index(t: Topology, index: int) -> SnapshotState:
     return SnapshotState(t.link_ids, tuple(decode_index(state_bases(t), index)))
 
 
+def check_vector(t: Topology, vector: Sequence[int]) -> None:
+    """Raises ValueError unless vector holds one count in [0, c] per link."""
+    if len(vector) != len(t.links):
+        raise ValueError(f"state holds {len(vector)} counts for {len(t.links)} links")
+    for link, k in zip(t.links, vector):
+        if k < 0:
+            raise ValueError(f"count {k} on link {link.id} is negative (outside [0, {link.c}])")
+        if k > link.c:
+            raise ValueError(
+                f"count {k} on link {link.id} exceeds capacity {link.c} (outside [0, {link.c}])"
+            )
+
+
 def state_index(t: Topology, s: SnapshotState) -> int:
+    check_vector(t, s.vector)
     return encode_index(state_bases(t), s.vector)
 
 
@@ -148,9 +162,7 @@ def link_pmfs(t: Topology) -> list[tuple[float, ...]]:
 
 def state_probability(t: Topology, s: SnapshotState) -> float:
     """Probability of observing exactly this state in one time slot."""
-    for k, c in zip(s.vector, t.capacities):
-        if not 0 <= k <= c:
-            raise ValueError(f"count {k} exceeds link capacity {c}")
+    check_vector(t, s.vector)
     return math.prod(pmf[k] for pmf, k in zip(link_pmfs(t), s.vector))
 
 
@@ -224,12 +236,11 @@ def to_unit_capacity(t: Topology, s: SnapshotState) -> tuple[Topology, SnapshotS
     state-level construction: its link probabilities are inherited and not
     meaningful for re-sampling.
     """
+    check_vector(t, s.vector)
     nodes = list(t.nodes)
     links: list[LinkSpec] = []
     vec_entries: list[tuple[str, int]] = []
     for link, count in zip(t.links, s.vector):
-        if not 0 <= count <= link.c:
-            raise ValueError(f"count {count} exceeds capacity of link {link.id}")
         if count <= 1:
             links.append(LinkSpec(link.u, link.v, p=link.resolved_p(t.constants), c=1))
             vec_entries.append((links[-1].id, count))

@@ -90,8 +90,11 @@ def directed_state(t, state=None):
     return to_directed(unit_t, unit_state)
 
 
-def random_instance(rng: np.random.Generator, max_internal=4, max_edges=8, mux=False):
-    """Random small topology plus a random realized state."""
+def random_instance(
+    rng: np.random.Generator, max_internal=4, max_edges=8, mux=False, vary_p=False
+):
+    """Random small topology plus a random realized state; links have
+    p = 0.5, or with vary_p a p drawn per link from [0, 1]."""
     while True:
         n_internal = int(rng.integers(0, max_internal + 1))
         names = ["s", "t"] + [f"n{i}" for i in range(n_internal)]
@@ -104,7 +107,8 @@ def random_instance(rng: np.random.Generator, max_internal=4, max_edges=8, mux=F
         for idx in sorted(chosen):
             u, v = pairs[idx]
             c = int(rng.integers(1, 3)) if mux else 1
-            links.append(LinkSpec(u, v, p=0.5, c=c))
+            p = float(rng.random()) if vary_p else 0.5
+            links.append(LinkSpec(u, v, p=p, c=c))
         qmap = {f"n{i}": float(1.0 - rng.random() * 0.95) for i in range(n_internal)}
         nodes = tuple(
             NodeSpec(n, qmap.get(n, 1.0), _role_of(n, "s", "t")) for n in names

@@ -1,8 +1,8 @@
 """Acceptance gate: every shipped criterion at its stated tolerance.
 
-Each test records a summary line printed at the end of the run. Slow
-enumerations (NSFNet, SURFnet, reversals) carry the `slow` marker and the
-4.8M-state multiplexed Abilene run carries `nightly`; all run by default.
+Each test records a summary line printed at the end of the run. The
+NSFNet, SURFnet and reversal runs carry the `slow` marker and the
+4.8M-state multiplexed Abilene runs carry `nightly`; all run by default.
 """
 
 import time

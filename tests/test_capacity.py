@@ -3,11 +3,13 @@
 import csv
 import io
 import math
+import os
 
+import numpy as np
 import pytest
 
 from conftest import make_topology
-from qnetcap import capacity
+from qnetcap import capacity, datasets
 from qnetcap.capacity import (
     SAMPLE_CHUNK,
     CapacityReport,
@@ -81,11 +83,12 @@ def test_exact_budget_guard(five_node):
         exact_capacity(five_node, budget=100)
 
 
-def test_exact_thread_count_is_bit_stable(five_node):
-    serial = exact_capacity(five_node, threads=1)
-    parallel = exact_capacity(five_node, threads=2)
-    assert serial.value == parallel.value
-    assert serial.covered_probability == parallel.covered_probability
+def test_exact_thread_count_is_bit_stable(five_node, nsfnet):
+    for t in (five_node, nsfnet):
+        serial = exact_capacity(t, threads=1)
+        parallel = exact_capacity(t, threads=2)
+        assert serial.value == parallel.value
+        assert serial.covered_probability == parallel.covered_probability
 
 
 def test_full_state_capacity_five_node(five_node):
@@ -287,3 +290,120 @@ def test_report_as_dict_round_trips(five_node):
     assert "stderr" in doc
     exact_doc = exact_capacity(five_node, threads=1).as_dict()
     assert "stderr" not in exact_doc and "seed" not in exact_doc
+
+
+def enumerated(t, threads=1):
+    """Exact capacity by the per-state enumerator, rows discarded."""
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        return exact_capacity(t, threads=threads, budget=None, per_state=sink)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "five_node",
+        "abilene",
+        pytest.param("surfnet", marks=pytest.mark.slow),
+        pytest.param("nsfnet", marks=pytest.mark.slow),
+        pytest.param("abilene_mux2", marks=pytest.mark.nightly),
+    ],
+)
+def test_tree_matches_enumerator_on_datasets(name):
+    t = datasets.load_dataset(name)
+    tree = exact_capacity(t, threads=1, budget=None)
+    oracle = enumerated(t, threads=2)
+    assert tree.value == pytest.approx(oracle.value, rel=1e-12, abs=0)
+    assert tree.covered_probability == pytest.approx(1.0, abs=1e-12)
+    assert tree.full_state_capacity == oracle.full_state_capacity
+    assert tree.states_evaluated == oracle.states_evaluated == num_states(t)
+
+
+def test_tree_matches_enumerator_on_random_networks(monkeypatch):
+    from conftest import random_instance
+
+    rng = np.random.default_rng(20261018)
+    for _ in range(60):
+        t, _ = random_instance(rng, max_internal=5, max_edges=10, mux=True, vary_p=True)
+        oracle = enumerated(t).value
+        # the default jobs, then the whole tree as one job under one memo
+        for depth in (capacity.TREE_JOB_DEPTH, 0):
+            monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
+            tree = exact_capacity(t, threads=1)
+            assert tree.value == pytest.approx(oracle, rel=1e-12, abs=0)
+            assert tree.covered_probability == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tree_skips_impossible_counts():
+    # a link at p = 0 or p = 1 has one possible count, so the tree's other
+    # children of it have probability 0
+    pairs = [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("a", "b"), ("s", "t")]
+    p = dict(zip(pairs, (1.0, 0.4, 0.0, 1.0, 0.7, 0.0)))
+    caps = {("s", "a"): 2, ("a", "t"): 3, ("a", "b"): 2}
+    t = make_topology({"a": 0.6, "b": 0.8}, pairs, p=p, caps=caps)
+    assert exact_capacity(t, threads=1).value == pytest.approx(
+        enumerated(t).value, rel=1e-12, abs=0
+    )
+
+
+def tail(c, p, k):
+    """P(X >= k) for X ~ Binomial(c, p)."""
+    return math.fsum(math.comb(c, i) * p**i * (1 - p) ** (c - i) for i in range(k, c + 1))
+
+
+def test_exact_multiplexed_chain_is_expected_minimum():
+    # a chain delivers its least pair count times the product of its gains:
+    # E[min] * prod q = sum_k prod_i P(X_i >= k) * prod q
+    p = {("s", "a"): 0.9, ("a", "b"): 0.35, ("b", "c"): 0.6, ("c", "t"): 0.75}
+    c = {("s", "a"): 3, ("a", "b"): 5, ("b", "c"): 2, ("c", "t"): 4}
+    q = {"a": 0.8, "b": 0.5, "c": 0.9}
+    t = make_topology(q, list(p), p=p, caps=c)
+    assert capacity.series_chains(t) == [(0, 1, 2, 3)]
+    expected = math.fsum(
+        math.prod(tail(c[l], p[l], k) for l in p) for k in range(1, 3)
+    ) * math.prod(q.values())
+    assert exact_capacity(t, threads=1).value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("depth", [0, capacity.TREE_JOB_DEPTH])
+def test_exact_parallel_routes_at_count_255(depth, monkeypatch):
+    # s-t beside the chain s-a-t, every link at c = 255, the largest count;
+    # depth 0 runs the whole tree as one job, under one memo
+    monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
+    caps = {("s", "t"): 255, ("s", "a"): 255, ("a", "t"): 255}
+    p = {("s", "t"): 0.3, ("s", "a"): 0.6, ("a", "t"): 0.45}
+    t = make_topology({"a": 0.7}, list(caps), p=p, caps=caps)
+    assert capacity.series_chains(t) == [(0, 1), (2,)]
+    expected = 255 * 0.3 + 0.7 * math.fsum(
+        tail(255, 0.6, k) * tail(255, 0.45, k) for k in range(1, 256)
+    )
+    report = exact_capacity(t, threads=1, budget=None)
+    assert report.value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("depth", [0, capacity.TREE_JOB_DEPTH])
+def test_exact_decided_full_count_is_not_undecided(depth, monkeypatch):
+    # routes s-b-t (gain qb) and s-a-b-t (qa * qb) share b-t, at c = 255;
+    # a-d is a dead end. As one job, the tree meets s-b decided at its full
+    # count of 1 and s-b undecided with the same counts, so a memo key
+    # without the undecided chains would confuse the two
+    monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
+    qa, qb = 0.9, 0.3
+    p = {("s", "a"): 0.8, ("a", "b"): 0.6, ("s", "b"): 0.4, ("b", "t"): 0.05, ("a", "d"): 0.5}
+    t = make_topology({"a": qa, "b": qb, "d": 0.5}, list(p), p=p, caps={("b", "t"): 255})
+    route_a, route_b = 0.8 * 0.6, 0.4
+    x1, x2 = tail(255, 0.05, 1), tail(255, 0.05, 2)
+    # s-b-t takes the first pair of b-t; s-a-b-t the next one
+    expected = qb * route_b * x1 + qa * qb * route_a * (route_b * x2 + (1 - route_b) * x1)
+    report = exact_capacity(t, threads=1, budget=None)
+    assert report.value == pytest.approx(expected, rel=1e-12)
+
+
+def test_series_chains_follow_degree_two_nodes():
+    # a joins s-a and a-b; b has degree 4, so b-t is a chain of its own and
+    # c and d close b-c-d-b into a cycle; s and t join nothing
+    pairs = [
+        ("s", "a"), ("a", "b"), ("b", "t"), ("b", "c"), ("c", "d"), ("d", "b"), ("s", "t"),
+    ]
+    t = make_topology({n: 0.9 for n in "abcd"}, pairs)
+    chains = [[t.link_ids[l] for l in chain] for chain in capacity.series_chains(t)]
+    assert chains == [["a-b", "s-a"], ["b-c", "d-b", "c-d"], ["b-t"], ["s-t"]]

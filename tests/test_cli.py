@@ -167,6 +167,15 @@ def test_snapshot_rejects_count_over_capacity(capsys):
     assert "outside" in err
 
 
+def test_snapshot_rejects_negative_count(capsys):
+    code, _, err = run(
+        capsys, "snapshot", "--topology", "five_node", "--state", "0-4=-1"
+    )
+    assert code == 1
+    assert "count -1 on link 0-4 is negative" in err
+    assert "exceeds" not in err
+
+
 def test_verify_demo_c6_partial_constraints(capsys):
     code, out, _ = run(
         capsys, "verify", "--topology", "demo_c6", "--assignment", "demo_c6_bad",

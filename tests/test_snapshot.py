@@ -107,6 +107,22 @@ def test_state_probability_rejects_excess_count():
         state_probability(t, s)
 
 
+@pytest.mark.parametrize("check", [state_index, state_probability, to_unit_capacity])
+def test_state_checks_reject_bad_vectors(check, five_node, abilene):
+    link = five_node.link_index["0-4"]  # c = 1
+    over = [0] * len(five_node.links)
+    over[link] = 2
+    with pytest.raises(ValueError, match="count 2 on link 0-4 exceeds capacity 1"):
+        check(five_node, SnapshotState.from_vector(five_node, over))
+    negative = [0] * len(five_node.links)
+    negative[link] = -1
+    with pytest.raises(ValueError, match="count -1 on link 0-4 is negative"):
+        check(five_node, SnapshotState.from_vector(five_node, negative))
+    # a state of another topology, with twice as many links
+    with pytest.raises(ValueError, match="14 counts for 7 links"):
+        check(five_node, SnapshotState.empty(abilene))
+
+
 def test_counts_mapping_omits_zeros(five_node):
     s = SnapshotState.from_counts(five_node, {"0-1": 2})
     assert s.counts == {"0-1": 2}
