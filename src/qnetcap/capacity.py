@@ -45,13 +45,15 @@ import numpy as np
 
 from .model import Topology
 from .snapshot import (
+    STATE_CSV_HEADER,
     PairSlots,
+    csv_text,
     encode_index,
     link_pmfs,
     num_states,
     odometer,
     state_bases,
-    write_state_rows,
+    state_row,
 )
 from .solver import PathPacker, index_network
 
@@ -145,19 +147,17 @@ def _open_rows(path_or_fh):
     return open(path_or_fh, "w", encoding="utf-8", newline="")
 
 
-def _drain(results: Iterator, per_row, write_rows) -> list:
-    """Chunk summaries in job order; chunk rows stream to per_row if given."""
+def _drain(results: Iterator, per_row, header: str) -> list:
+    """Chunk summaries in job order. With per_row, the header and then
+    each chunk's CSV text, formatted by its worker, are written to it."""
     if per_row is None:
         return [summary for summary, _ in results]
     summaries = []
-
-    def rows() -> Iterator:
-        for summary, chunk_rows in results:
-            summaries.append(summary)
-            yield from chunk_rows
-
     with _open_rows(per_row) as fh:
-        write_rows(fh, rows())
+        fh.write(header)
+        for summary, text in results:
+            summaries.append(summary)
+            fh.write(text)
     return summaries
 
 
@@ -196,8 +196,8 @@ def _exact_chunk(engine: _Engine, job: tuple[int, int]):
         cap = packer.value(vec)
         terms.append(prob * cap)
         probs.append(prob)
-        rows.append((index, tuple(vec), prob, cap))
-    return (math.fsum(terms), math.fsum(probs)), rows
+        rows.append(state_row(index, vec, prob, cap))
+    return (math.fsum(terms), math.fsum(probs)), csv_text(rows)
 
 
 def _sample_chunk(engine: _Engine, job: tuple[int, int, int, bool]):
@@ -217,8 +217,8 @@ def _sample_chunk(engine: _Engine, job: tuple[int, int, int, bool]):
         caps.append(cap)
         if rows is not None:
             prob = math.prod(pmf[c] for pmf, c in zip(pmfs, vec))
-            rows.append((encode_index(engine.bases, vec), tuple(vec), prob, cap))
-    return _moments(caps), rows
+            rows.append(state_row(encode_index(engine.bases, vec), vec, prob, cap))
+    return _moments(caps), csv_text(rows) if want_rows else None
 
 
 def series_chains(t: Topology) -> list[tuple[int, ...]]:
@@ -438,7 +438,7 @@ def exact_capacity(
     else:
         jobs = [(a, min(a + STATE_CHUNK, n)) for a in range(0, n, STATE_CHUNK)]
         chunks = _run_chunks(partial(_Engine, t), jobs, _exact_chunk, threads)
-        parts = _drain(chunks, per_state, write_state_rows)
+        parts = _drain(chunks, per_state, STATE_CSV_HEADER)
         value = math.fsum(v for v, _ in parts)
         covered = math.fsum(c for _, c in parts)
     return CapacityReport(
@@ -524,7 +524,7 @@ def sampled_capacity(
         for a in range(0, samples, SAMPLE_CHUNK)
     ]
     chunks = _run_chunks(partial(_Engine, t), jobs, _sample_chunk, threads)
-    mean, stderr = _mean_stderr(_drain(chunks, per_state, write_state_rows), samples)
+    mean, stderr = _mean_stderr(_drain(chunks, per_state, STATE_CSV_HEADER), samples)
     return CapacityReport(
         mode="sampled",
         value=mean,

@@ -175,14 +175,10 @@ def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
 def _trial_chunk(plan: _SimPlan, job: tuple[int, int, bool]):
     start, stop, want_rows = job
     delivered = [_run_trial(plan, _substream(plan.seed, i)) for i in range(start, stop)]
-    rows = list(zip(range(start, stop), delivered)) if want_rows else None
+    rows = None
+    if want_rows:
+        rows = "".join(f"{i},{x}\n" for i, x in enumerate(delivered, start))
     return _moments(delivered), rows
-
-
-def _write_trial_rows(fh, rows) -> None:
-    fh.write("trial,delivered\n")
-    for i, x in rows:
-        fh.write(f"{i},{x}\n")
 
 
 def simulate_local_knowledge(
@@ -198,5 +194,5 @@ def simulate_local_knowledge(
     want_rows = per_trial is not None
     jobs = [(a, min(a + TRIAL_CHUNK, n), want_rows) for a in range(0, n, TRIAL_CHUNK)]
     chunks = _run_chunks(partial(_SimPlan, t, cfg.seed), jobs, _trial_chunk, threads)
-    mean, stderr = _mean_stderr(_drain(chunks, per_trial, _write_trial_rows), n)
+    mean, stderr = _mean_stderr(_drain(chunks, per_trial, "trial,delivered\n"), n)
     return SimResult(mean=mean, stderr=stderr, samples=n)

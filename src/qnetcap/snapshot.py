@@ -9,14 +9,15 @@ independently with probability p_l).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import LinkSpec, NodeSpec, Topology, _role_of
+from .model import MAX_LINK_PAIRS, LinkSpec, NodeSpec, Topology, _role_of
 
 
 @dataclass(frozen=True)
@@ -281,16 +282,21 @@ def to_directed(t: Topology, s: SnapshotState) -> DirectedSnapshot:
     return DirectedSnapshot(frozenset(arcs), gains, t.source, t.sink)
 
 
-STATE_CSV_COLUMNS = ("state_index", "state_counts", "probability", "capacity")
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """Rows as CSV text, in the csv module's default dialect."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
-def write_state_rows(
-    fh: IO[str], rows: Iterator[tuple[int, Sequence[int], float, float]]
-) -> None:
-    """Per-state CSV export; counts are semicolon-joined in link order."""
-    writer = csv.writer(fh)
-    writer.writerow(STATE_CSV_COLUMNS)
-    for index, vector, probability, capacity in rows:
-        writer.writerow(
-            [index, ";".join(str(k) for k in vector), repr(probability), repr(capacity)]
-        )
+STATE_CSV_HEADER = csv_text([("state_index", "state_counts", "probability", "capacity")])
+
+
+_COUNT_TEXT = tuple(str(k) for k in range(MAX_LINK_PAIRS + 1))
+
+
+def state_row(index: int, vector: Sequence[int], probability: float, capacity: float) -> tuple:
+    """One state's per-state CSV fields; counts are semicolon-joined in
+    link order."""
+    counts = ";".join(map(_COUNT_TEXT.__getitem__, vector))
+    return index, counts, repr(probability), repr(capacity)

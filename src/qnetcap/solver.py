@@ -16,6 +16,12 @@ networks are memoized, so that repeated sub-networks (ubiquitous during
 state enumeration) are solved once. The search recurses one frame per
 child, and each child holds fewer pairs on the source's links, which
 bounds its depth (see PathPacker._with_stack).
+
+Every search node is first stripped: links on no source-sink path are
+zeroed, and a cut-off sink ends the node. What the strip drops depends only
+on the support, the set of links that hold pairs, not on how many they
+hold, so each packer keeps the links to drop per support in a strip table
+of at most STRIP_CAP supports, and computes the strip only on a miss.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from .model import MAX_LINK_PAIRS
 from .snapshot import DirectedSnapshot
 
 MEMO_CAP = 4_000_000  # entries per packer; cleared wholesale when exceeded
+STRIP_CAP = 1 << 13  # supports per packer strip table; later misses are not stored
+_SUPPORT = bytes([0] + [1] * 255)  # translate table: pair count -> 0/1 support
 
 
 class PathPacker:
@@ -41,6 +49,12 @@ class PathPacker:
     many paths across a link as it holds pairs. Instances are cheap to keep
     around: the memo persists across calls, so sweeping many states of one
     topology amortizes the search.
+
+    The strip table (strips) maps a support, bytes(counts) with every
+    nonzero count read as 1, to the tuple of links the strip zeroes, ()
+    when it drops none and False when the sink is cut off. It fills up to
+    STRIP_CAP supports; later misses are stripped but not stored, so the
+    table never evicts and a stored answer stays valid.
     """
 
     def __init__(
@@ -64,48 +78,79 @@ class PathPacker:
         self.source_links = self.adj[source]
         self.memo: dict[bytes, float] = {}
         self._rebuild_memo: dict[bytes, tuple[tuple[int, ...], ...]] = {}
+        self.strips: dict[bytes, tuple[int, ...] | bool] = {}
         self.nodes_explored = 0
 
     def _strip(self, counts: list[int]) -> bool:
-        """Drops links that cannot lie on any source-sink path; False if cut."""
-        adj = self.adj
-        seen = bytearray(self.num_nodes)
-        seen[self.source] = 1
-        stack = [self.source]
+        """Drops links that cannot lie on any source-sink path; False if cut.
+
+        The answer depends only on the support, so it is looked up in the
+        strip table and computed by _support_strip on a miss.
+        """
+        key = bytes(counts).translate(_SUPPORT)
+        drop = self.strips.get(key)
+        if drop is None:
+            drop = self._support_strip(counts)
+            if len(self.strips) < STRIP_CAP:
+                self.strips[key] = drop
+            return drop is not False
+        if drop is False:
+            return False
+        for idx in drop:
+            counts[idx] = 0
+        return True
+
+    def _support_strip(self, counts: list[int]) -> tuple[int, ...] | bool:
+        """Strips counts in place: the links to drop, False if cut.
+
+        One depth-first search from the source counts the live links of
+        each node it reaches (deg stays -1 at the others) and collects the
+        degree-1 leaves. A live link it did not reach has both ends
+        unreached; they are looked for only when the reached link ends
+        fall short of two per live link. Then leaves are peeled until none
+        is left; the links peeled do not depend on the order.
+        """
+        adj, source, sink = self.adj, self.source, self.sink
+        deg = [-1] * self.num_nodes
+        deg[source] = 0
+        leaves = []
+        ends = 0
+        stack = [source]
         while stack:
             u = stack.pop()
+            d = 0
             for idx, w in adj[u]:
-                if counts[idx] and not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-        if not seen[self.sink]:
+                if counts[idx]:
+                    d += 1
+                    if deg[w] < 0:
+                        deg[w] = 0
+                        stack.append(w)
+            deg[u] = d
+            ends += d
+            if d == 1 and u != source and u != sink:
+                leaves.append(u)
+        if deg[sink] < 0:
             return False
-        deg = [0] * self.num_nodes
-        for idx, (u, v) in enumerate(self.links):
-            if counts[idx]:
-                if not seen[u]:
+        drop = []
+        if ends < 2 * (len(counts) - counts.count(0)):
+            for idx, (u, _) in enumerate(self.links):
+                if counts[idx] and deg[u] < 0:
                     counts[idx] = 0
-                    continue
-                deg[u] += 1
-                deg[v] += 1
-        stack = [
-            n
-            for n in range(self.num_nodes)
-            if deg[n] == 1 and n != self.source and n != self.sink
-        ]
-        while stack:
-            n = stack.pop()
+                    drop.append(idx)
+        while leaves:
+            n = leaves.pop()
             if deg[n] != 1:
                 continue
             for idx, w in adj[n]:
                 if counts[idx]:
                     counts[idx] = 0
+                    drop.append(idx)
                     deg[n] -= 1
                     deg[w] -= 1
-                    if deg[w] == 1 and w != self.source and w != self.sink:
-                        stack.append(w)
+                    if deg[w] == 1 and w != source and w != sink:
+                        leaves.append(w)
                     break
-        return True
+        return tuple(drop)
 
     def _with_stack(self, search, counts: Sequence[int]):
         """Runs search(list(counts)) with room for its recursion.

@@ -258,6 +258,27 @@ def test_truncated_on_multiplexed_network(abilene_mux2):
     assert report.lower <= 1.983 <= report.upper
 
 
+def test_multiplexed_estimates_are_pinned(abilene_mux2):
+    # reprs of the estimates before the packer's strip table: the table
+    # changes how a state is stripped, never the result
+    report = truncated_capacity(abilene_mux2, 5000)
+    assert (repr(report.value), repr(report.lower), repr(report.upper)) == (
+        "2.017985806740938",
+        "1.627689239380471",
+        "2.4082823741014048",
+    )
+    report = sampled_capacity(abilene_mux2, 16384, seed=1, threads=1)
+    assert (repr(report.value), repr(report.stderr)) == (
+        "1.9811505880832148",
+        "0.004310119736969984",
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_exact_nsfnet_is_pinned(nsfnet, threads):
+    assert repr(exact_capacity(nsfnet, threads=threads).value) == "0.10133961805534757"
+
+
 def test_unit_gain_capacity_is_expected_max_flow():
     # with perfect swaps the expectation reduces to the mean number of
     # disjoint routes, checkable against the independent max-flow routine

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     directed_state,
@@ -507,3 +508,112 @@ def test_packer_visit_order_is_pinned(name, nodes, memo):
     packer.value(t.capacities)
     assert packer.nodes_explored == nodes
     assert len(packer.memo) == memo
+
+
+def reference_strip(packer, counts):
+    """(ok, counts) of a two-pass strip built from packer.links alone: the
+    links unreached from the source go, then leaves (internal nodes on one
+    live link) are peeled until none is left; ok is False, with the counts
+    untouched, when the sink is unreached."""
+    counts = list(counts)
+    reached = {packer.source}
+    grew = True
+    while grew:
+        grew = False
+        for idx, (u, v) in enumerate(packer.links):
+            if counts[idx] and (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    if packer.sink not in reached:
+        return False, counts
+    for idx, (u, _) in enumerate(packer.links):
+        if u not in reached:
+            counts[idx] = 0
+    terminals = {packer.source, packer.sink}
+    peeled = True
+    while peeled:
+        peeled = False
+        for n in set(range(packer.num_nodes)) - terminals:
+            live = [i for i, link in enumerate(packer.links) if counts[i] and n in link]
+            if len(live) == 1:
+                counts[live[0]] = 0
+                peeled = True
+    return True, counts
+
+
+def assert_strip_matches(packer, counts):
+    """Strips counts twice against the reference: the first call is a
+    table miss unless the support was seen before, the second a hit.
+    Returns the support key."""
+    from qnetcap.solver import _SUPPORT
+
+    key = bytes(counts).translate(_SUPPORT)
+    expected = reference_strip(packer, counts)
+    for _ in range(2):
+        got = list(counts)
+        assert (packer._strip(got), got) == expected
+        assert key in packer.strips
+    return key
+
+
+STRIP_DRAW_SEED = 20261018
+
+
+@pytest.mark.parametrize("name", datasets.DATASETS)
+def test_strip_matches_two_pass_reference_on_datasets(name):
+    from qnetcap.capacity import topology_packer
+
+    t = datasets.load_dataset(name)
+    packer = topology_packer(t)
+    rng = np.random.default_rng(STRIP_DRAW_SEED)
+    states = [list(t.capacities), [0] * len(t.links)]
+    states += [
+        [int(k) for k in rng.integers(0, np.asarray(t.capacities) + 1)] for _ in range(300)
+    ]
+    for counts in states:
+        assert_strip_matches(topology_packer(t), counts)  # miss, then hit
+        assert_strip_matches(packer, counts)  # its support may be stored
+    assert len(packer.strips) <= len(states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_strip_matches_two_pass_reference_on_mux_counts(data, abilene_mux2):
+    from qnetcap.capacity import topology_packer
+
+    packer = topology_packer(abilene_mux2)
+    n = len(packer.links)
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    key = assert_strip_matches(packer, counts)
+    # the same support under other counts hits the entry the first one left
+    other = data.draw(
+        st.lists(st.integers(1, 2), min_size=n, max_size=n).map(
+            lambda ks: [k if c else 0 for k, c in zip(ks, counts)]
+        )
+    )
+    assert assert_strip_matches(packer, other) == key
+    assert len(packer.strips) == 1
+
+
+def test_strip_table_stops_at_its_cap(abilene_mux2, monkeypatch):
+    from qnetcap import solver
+    from qnetcap.capacity import topology_packer
+
+    rng = np.random.default_rng(STRIP_DRAW_SEED)
+    caps = np.asarray(abilene_mux2.capacities)
+    draws = [[int(k) for k in rng.integers(0, caps + 1)] for _ in range(2000)]
+
+    def sweep():
+        packer = topology_packer(abilene_mux2)
+        values = []
+        for counts in draws:
+            values.append(repr(packer.value(counts)))
+            assert len(packer.strips) <= solver.STRIP_CAP
+        return values, packer.nodes_explored, packer.memo, packer.strips
+
+    values, nodes, memo, strips = sweep()
+    assert len(strips) > 4
+    monkeypatch.setattr(solver, "STRIP_CAP", 4)
+    capped = sweep()
+    assert capped[:3] == (values, nodes, memo)
+    assert len(capped[3]) == 4
