@@ -214,8 +214,8 @@ def validate_topology(t: Topology) -> list[str]:
             diags.append(f"{loc}.length_km: must be >= 0, got {l.length_km}")
         if l.p is not None and not 0.0 <= l.p <= 1.0:
             diags.append(f"{loc}.p: must be in [0, 1], got {l.p}")
-        if not 1 <= l.c <= MAX_LINK_PAIRS or l.c != int(l.c):
-            diags.append(f"{loc}.c: must be an integer in [1, {MAX_LINK_PAIRS}], got {l.c}")
+        if isinstance(l.c, bool) or not isinstance(l.c, int) or not 1 <= l.c <= MAX_LINK_PAIRS:
+            diags.append(f"{loc}.c: must be an integer in [1, {MAX_LINK_PAIRS}], got {l.c!r}")
     return diags
 
 
@@ -288,7 +288,7 @@ def parse_topology(document: Mapping) -> Topology:
                     v=str(raw["v"]),
                     length_km=None if raw.get("length_km") is None else float(raw["length_km"]),
                     p=None if raw.get("p") is None else float(raw["p"]),
-                    c=int(raw.get("c", 1)),
+                    c=raw.get("c", 1),
                 )
             )
         except (TypeError, ValueError) as exc:

@@ -10,12 +10,10 @@ a state is searched on the same graph as in the capacity engine. One
 branch generator, PathPacker._branch, takes the first live source link and
 yields the child that drops it, then one child per simple path routed over
 it, walking the paths with a stack of adjacency iterators. The optimum
-(_value) and an optimal packing (_rebuild) both loop over its children, so
-they walk the same branches in the same order. Optima of pruned residual
-networks are memoized, so that repeated sub-networks (ubiquitous during
-state enumeration) are solved once. The search recurses one frame per
-child, and each child holds fewer pairs on the source's links, which
-bounds its depth (see PathPacker._with_stack).
+(value) and an optimal packing (best_packing) both loop over its children,
+so they walk the same branches in the same order, each on an explicit
+stack of frames. Optima of pruned residual networks are memoized, so that
+repeated sub-networks (ubiquitous during state enumeration) are solved once.
 
 Every search node is first stripped: links on no source-sink path are
 zeroed, and a cut-off sink ends the node. What the strip drops depends only
@@ -27,7 +25,6 @@ of at most STRIP_CAP supports, and computes the strip only on a miss.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -48,7 +45,8 @@ class PathPacker:
     Links are undirected with integer pair counts; a packing may route as
     many paths across a link as it holds pairs. Instances are cheap to keep
     around: the memo persists across calls, so sweeping many states of one
-    topology amortizes the search.
+    topology amortizes the search. Both searches walk explicit stacks of
+    frames, so no instance is too deep for the interpreter's stack.
 
     The strip table (strips) maps a support, bytes(counts) with every
     nonzero count read as 1, to the tuple of links the strip zeroes, ()
@@ -152,28 +150,6 @@ class PathPacker:
                     break
         return tuple(drop)
 
-    def _with_stack(self, search, counts: Sequence[int]):
-        """Runs search(list(counts)) with room for its recursion.
-
-        Both searches recurse one frame per child of _branch, and every
-        child holds at least one pair fewer on the source's links: the
-        dropped first live source link held one or more, and a path uses
-        one. So the depth is at most the pairs on the source's links, and
-        512 frames are left for the caller and the leaf calls. A raised
-        recursion limit is put back before returning.
-        """
-        limit = sys.getrecursionlimit()
-        need = 512 + sum(counts)
-        if need > limit:  # all pairs bound the source's, and sum faster
-            need = 512 + sum(counts[idx] for idx, _ in self.source_links)
-        if need <= limit:
-            return search(list(counts))
-        sys.setrecursionlimit(need)
-        try:
-            return search(list(counts))
-        finally:
-            sys.setrecursionlimit(limit)
-
     def _branch(self, counts: list[int]):
         """Yields (gain, prefix, rest) once per child of a stripped state.
 
@@ -223,27 +199,41 @@ class PathPacker:
                 counts[idx] += 1
 
     def value(self, counts: Sequence[int]) -> float:
-        """Optimal total delivered flow for the given per-link pair counts."""
-        return self._with_stack(self._value, counts)
+        """Optimal total delivered flow for the given per-link pair counts.
 
-    def _value(self, counts: list[int]) -> float:
-        self.nodes_explored += 1
-        if not self._strip(counts):
-            return 0.0
-        key = bytes(counts)
-        memo = self.memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = 0.0
-        for gain, _, rest in self._branch(counts):
-            cand = gain + self._value(rest)
-            if cand > best:
-                best = cand
-        if len(memo) >= MEMO_CAP:
-            memo.clear()
-        memo[key] = best
-        return best
+        The walk keeps one frame per unfinished search node on the way down:
+        its memo key, its children still to come, the best value so far and
+        the gain of the child being walked.
+        """
+        memo, strip = self.memo, self._strip
+        counts = list(counts)
+        frames: list[list] = []
+        while True:
+            self.nodes_explored += 1
+            if not strip(counts):
+                value = 0.0
+            else:
+                key = bytes(counts)
+                value = memo.get(key)
+                if value is None:
+                    children = self._branch(counts)
+                    gain, _, counts = next(children)
+                    frames.append([key, children, 0.0, gain])
+                    continue
+            while frames:
+                key, children, best, gain = frame = frames[-1]
+                if gain + value > best:
+                    frame[2] = gain + value
+                child = next(children, None)
+                if child is not None:
+                    frame[3], _, counts = child
+                    break
+                frames.pop()
+                if len(memo) >= MEMO_CAP:
+                    memo.clear()
+                value = memo[key] = frame[2]
+            else:
+                return value
 
     def best_packing(self, counts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         """One optimal path set: fewest paths, then lexicographically least.
@@ -251,30 +241,40 @@ class PathPacker:
         Paths are node-index tuples from source to sink; the returned set is
         sorted. Deterministic for a given problem. solve_snapshot breaks ties
         on the graph with relays folded in, then hands out the relays.
-        """
-        return self._with_stack(self._rebuild, counts)
 
-    def _rebuild(self, counts: list[int]) -> tuple[tuple[int, ...], ...]:
-        if not self._strip(counts):
-            return ()
-        total = self._value(counts.copy())
-        if total == 0.0:
-            return ()
-        key = bytes(counts)
-        cached = self._rebuild_memo.get(key)
-        if cached is not None:
-            return cached
-        candidates: list[tuple[tuple[int, ...], ...]] = []
-        for gain, prefix, rest in self._branch(counts):
-            if gain + self._value(rest.copy()) != total:
-                continue
-            sub = self._rebuild(rest)
-            if prefix is not None:
-                sub = tuple(sorted(sub + ((*prefix, self.sink),)))
-            candidates.append(sub)
-        best = min(candidates, key=lambda sol: (len(sol), sol))
-        self._rebuild_memo[key] = best
-        return best
+        The walk descends only into children that reach the optimum, with
+        one frame per unfinished node: its key and optimum, its children
+        still to come, the candidates so far and the walked child's path.
+        """
+        rebuilt, strip, sink = self._rebuild_memo, self._strip, self.sink
+        counts = list(counts)
+        frames: list[list] = []
+        while True:
+            if not strip(counts) or (total := self.value(counts)) == 0.0:
+                packing = ()
+            else:
+                key = bytes(counts)
+                packing = rebuilt.get(key)
+                if packing is None:
+                    frames.append([key, total, self._branch(counts), [], None])
+            while frames:
+                key, total, children, candidates, path = frame = frames[-1]
+                if packing is not None:  # None: this frame was just pushed
+                    if path is not None:
+                        packing = tuple(sorted(packing + (path,)))
+                    candidates.append(packing)
+                for gain, prefix, rest in children:
+                    if gain + self.value(rest) == total:
+                        frame[4] = None if prefix is None else (*prefix, sink)
+                        counts = rest
+                        break
+                else:
+                    frames.pop()
+                    packing = rebuilt[key] = min(candidates, key=lambda sol: (len(sol), sol))
+                    continue
+                break
+            else:
+                return packing
 
 
 def index_network(

@@ -138,6 +138,28 @@ endpoints: {source: a, sink: b}
         load_topology(doc)
 
 
+@pytest.mark.parametrize(
+    "raw, shown", [("2.7", "2.7"), ("true", "True"), ('"3"', "'3'"), ("2.0", "2.0")]
+)
+def test_capacity_must_be_a_yaml_integer(raw, shown):
+    doc = f"""
+nodes: [{{id: a}}, {{id: b}}]
+links: [{{u: a, v: b, p: 0.5, c: {raw}}}]
+endpoints: {{source: a, sink: b}}
+"""
+    message = rf"\.c: must be an integer in \[1, 255\], got {shown}$"
+    with pytest.raises(TopologyError, match=message):
+        load_topology(doc)
+
+
+@pytest.mark.parametrize("c", [2.7, True, "3", 2.0])
+def test_capacity_must_be_an_int(c):
+    nodes = (NodeSpec("s", role="source"), NodeSpec("t", role="sink"))
+    link = LinkSpec("s", "t", p=0.5, c=c)
+    with pytest.raises(TopologyError, match=rf"\.c: must be an integer in \[1, 255\], got {c!r}$"):
+        Topology(nodes, (link,), "s", "t")
+
+
 def test_diagnostics_carry_field_paths():
     doc = """
 nodes: [{id: a}, {id: b}, {id: c, q: 1.5}]

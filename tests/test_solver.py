@@ -405,6 +405,14 @@ def two_deep_source_links():
     return make_topology({"a": 0.9}, list(caps), caps=caps)
 
 
+def three_deep_source_links():
+    """s-a, s-b, s-t, a-t and b-t with 255 pairs each, q_a = 0.9 and
+    q_b = 0.8: 765 pairs on the source's links, 765 paths delivering
+    255 + 255 * 0.9 + 255 * 0.8."""
+    caps = {uv: 255 for uv in [("s", "a"), ("s", "b"), ("s", "t"), ("a", "t"), ("b", "t")]}
+    return make_topology({"a": 0.9, "b": 0.8}, list(caps), caps=caps)
+
+
 def frame_depth():
     """Frames on the caller's stack."""
     frame, depth = sys._getframe(1), 0
@@ -426,7 +434,7 @@ def test_packer_restores_recursion_limit(abilene_mux2, five_node, monkeypatch):
         for t, expected in deep_topologies():
             assert full_state_capacity(t) == pytest.approx(expected, rel=1e-12)
             assert sys.getrecursionlimit() == 1000
-        # deep enough that the limit is raised for each search and put back
+        # deep enough that a recursive search would need a raised limit
         calls = []
         set_limit = sys.setrecursionlimit
 
@@ -439,7 +447,7 @@ def test_packer_restores_recursion_limit(abilene_mux2, five_node, monkeypatch):
         packer = topology_packer(t)
         assert packer.value(t.capacities) == pytest.approx(484.5, rel=1e-12)
         assert len(packer.best_packing(t.capacities)) == 510
-        assert calls == [1022, 1000, 1022, 1000]
+        assert calls == []
         assert sys.getrecursionlimit() == 1000
     finally:
         monkeypatch.undo()
@@ -447,12 +455,13 @@ def test_packer_restores_recursion_limit(abilene_mux2, five_node, monkeypatch):
 
 
 def test_packer_fits_its_documented_frame_bound(abilene_mux2):
-    # the search needs at most 512 frames above its caller plus one per pair
-    # on the source's links, so it must complete with exactly that room
+    # the searches walk explicit stacks of frames, so a few frames above the
+    # caller suffice however many pairs the source's links hold
     from qnetcap.capacity import topology_packer
     from qnetcap.solver import index_network
 
-    topologies = [t for t, _ in deep_topologies()] + [two_deep_source_links()]
+    topologies = [t for t, _ in deep_topologies()]
+    topologies += [two_deep_source_links(), three_deep_source_links()]
     cases = [(topology_packer(t), t.capacities) for t in topologies]
     # abilene_mux2's 39-node splitter graph, unfolded
     g = directed_state(abilene_mux2)
@@ -462,23 +471,23 @@ def test_packer_fits_its_documented_frame_bound(abilene_mux2):
     start = sys.getrecursionlimit()
     try:
         for packer, counts in cases:
-            source_pairs = sum(
-                c for link, c in zip(packer.links, counts) if packer.source in link
-            )
-            limit = frame_depth() + 512 + source_pairs
+            limit = frame_depth() + 32
             sys.setrecursionlimit(limit)
-            # on a fresh packer, best_packing runs the whole value search one
-            # frame below its own; value then reads the memo
+            # on a fresh packer, best_packing runs the whole value search
+            # from inside its own; value then reads the memo
             packing = packer.best_packing(counts)
             delivered = [math.prod(packer.gains[n] for n in p[1:-1]) for p in packing]
             assert packer.value(counts) == pytest.approx(sum(delivered), rel=1e-12)
             assert sys.getrecursionlimit() == limit
     finally:
         sys.setrecursionlimit(start)
+    packer, counts = cases[3]
+    assert packer.value(counts) == pytest.approx(688.5, rel=1e-12)
+    assert len(packer.best_packing(counts)) == 765
 
 
 def test_packer_leaves_recursion_limit_alone_on_datasets(monkeypatch, nsfnet, abilene_mux2):
-    from qnetcap.capacity import full_state_capacity
+    from qnetcap.capacity import full_state_capacity, topology_packer
 
     calls = []
     start = sys.getrecursionlimit()
@@ -489,6 +498,13 @@ def test_packer_leaves_recursion_limit_alone_on_datasets(monkeypatch, nsfnet, ab
         assert full_state_capacity(abilene_mux2) > 0.0
         for t, expected in deep_topologies():
             assert full_state_capacity(t) == pytest.approx(expected, rel=1e-12)
+        for t, value, paths in [
+            (two_deep_source_links(), 484.5, 510),
+            (three_deep_source_links(), 688.5, 765),
+        ]:
+            packer = topology_packer(t)
+            assert packer.value(t.capacities) == pytest.approx(value, rel=1e-12)
+            assert len(packer.best_packing(t.capacities)) == paths
         assert calls == []
     finally:
         monkeypatch.undo()
@@ -496,11 +512,17 @@ def test_packer_leaves_recursion_limit_alone_on_datasets(monkeypatch, nsfnet, ab
 
 
 @pytest.mark.parametrize(
-    "name, nodes, memo", [("five_node", 23, 11), ("abilene_mux2", 447, 87), ("nsfnet", 198, 29)]
+    "name, nodes, memo, paths, rebuilt_nodes, rebuilt",
+    [
+        pytest.param("five_node", 23, 11, 6, 41, 6, id="five_node-23-11"),
+        pytest.param("abilene_mux2", 447, 87, 4, 473, 4, id="abilene_mux2-447-87"),
+        pytest.param("nsfnet", 198, 29, 3, 248, 3, id="nsfnet-198-29"),
+    ],
 )
-def test_packer_visit_order_is_pinned(name, nodes, memo):
+def test_packer_visit_order_is_pinned(name, nodes, memo, paths, rebuilt_nodes, rebuilt):
     # the search's node and memo counts on the full state depend on the order
-    # in which it walks its children, which these counts pin
+    # in which it walks its children, which these counts pin; so do the
+    # counts of best_packing, run after value on the same packer
     from qnetcap.capacity import topology_packer
 
     t = datasets.load_dataset(name)
@@ -508,7 +530,9 @@ def test_packer_visit_order_is_pinned(name, nodes, memo):
     packer.value(t.capacities)
     assert packer.nodes_explored == nodes
     assert len(packer.memo) == memo
-
+    assert len(packer.best_packing(t.capacities)) == paths
+    assert packer.nodes_explored == rebuilt_nodes
+    assert len(packer._rebuild_memo) == rebuilt
 
 def reference_strip(packer, counts):
     """(ok, counts) of a two-pass strip built from packer.links alone: the
