@@ -5,7 +5,8 @@ indicators x (one per eligible arc-pair triple around an internal node).
 The checker evaluates each constraint family on its own, so solver output
 can be certified by machinery that shares nothing with the solver, and so
 individual constraints can be switched off to demonstrate why each one is
-needed.
+needed. A matching absent from the assignment reads as x = 0, which breaks
+no family, so the triple families walk only the matchings that are set.
 
 Constraint tags:
     BOUNDS  0 <= F_ij <= 1 and x in {0, 1}
@@ -107,19 +108,6 @@ class ConstraintReport:
         return tuple(v for v in self.violations if v.constraint == tag)
 
 
-def eligible_triples(g: DirectedSnapshot) -> tuple[Triple, ...]:
-    """All (i, j, k) with arcs (i,j), (j,k), i != k and j internal."""
-    triples = []
-    for j in sorted(g.gains):
-        if j in (g.source, g.sink):
-            continue
-        for i in g.in_arcs.get(j, ()):
-            for k in g.out_arcs.get(j, ()):
-                if i != k:
-                    triples.append((i, j, k))
-    return tuple(triples)
-
-
 def check_assignment(
     g: DirectedSnapshot,
     a: FlowAssignment,
@@ -130,19 +118,24 @@ def check_assignment(
     unknown = tags - frozenset(ALL_CONSTRAINTS)
     if unknown:
         raise ValueError(f"unknown constraint tags: {sorted(unknown)}")
-    arcs = sorted(g.arcs)
+    arcs = g.sorted_arcs
     arc_set = g.arcs
-    triples = eligible_triples(g)
-    triple_set = set(triples)
     for arc in a.flows:
         if arc not in arc_set:
             raise KeyError(f"flow on unknown arc {arc}")
     for triple in a.matchings:
-        if triple not in triple_set:
+        # eligible: arcs (i, j) and (j, k), i != k, j internal
+        if not (
+            triple[:2] in arc_set
+            and triple[1:] in arc_set
+            and triple[0] != triple[2]
+            and triple[1] not in (g.source, g.sink)
+        ):
             raise KeyError(f"matching on unknown triple {triple}")
 
     fval = a.flows.get
-    xval = a.matchings.get
+    # the set matchings in (j, i, k) order; an absent triple has x = 0
+    xs = sorted(a.matchings.items(), key=lambda item: (item[0][1], item[0][0], item[0][2]))
     violations: list[Violation] = []
 
     if "BOUNDS" in tags:
@@ -150,16 +143,14 @@ def check_assignment(
             f = fval(arc, 0.0)
             if not 0.0 <= f <= 1.0:
                 violations.append(Violation("BOUNDS", arc, max(-f, f - 1.0)))
-        for triple in triples:
-            x = xval(triple, 0)
+        for triple, x in xs:
             if x not in (0, 1):
                 violations.append(Violation("BOUNDS", triple, float(x)))
 
     if "C6" in tags:
         first_two: dict[Arc, int] = {}
         last_two: dict[Arc, int] = {}
-        for triple in triples:
-            x = xval(triple, 0)
+        for triple, x in xs:
             if x:
                 first_two[triple[:2]] = first_two.get(triple[:2], 0) + x
                 last_two[triple[1:]] = last_two.get(triple[1:], 0) + x
@@ -169,8 +160,7 @@ def check_assignment(
                 violations.append(Violation("C6", (i, j), float(total - 1)))
 
     if "C7" in tags:
-        for i, j, k in triples:
-            x = xval((i, j, k), 0)
+        for (i, j, k), x in xs:
             if not x:
                 continue
             residual = x * (fval((i, j), 0.0) * g.gains[j] - fval((j, k), 0.0))
@@ -179,8 +169,8 @@ def check_assignment(
 
     if "C8" in tags:
         matched: dict[Arc, int] = {}
-        for triple in triples:
-            matched[triple[:2]] = matched.get(triple[:2], 0) + xval(triple, 0)
+        for triple, x in xs:
+            matched[triple[:2]] = matched.get(triple[:2], 0) + x
         for i, j in arcs:
             if j == g.sink:
                 continue

@@ -87,16 +87,21 @@ class DirectedSnapshot:
                 raise ValueError(f"arc ({u}, {v}) references node without a gain")
 
     @cached_property
+    def sorted_arcs(self) -> tuple[tuple[str, str], ...]:
+        """The arcs in sorted order, sorted once per snapshot."""
+        return tuple(sorted(self.arcs))
+
+    @cached_property
     def out_arcs(self) -> Mapping[str, tuple[str, ...]]:
         adj: dict[str, list[str]] = {}
-        for u, v in sorted(self.arcs):
+        for u, v in self.sorted_arcs:
             adj.setdefault(u, []).append(v)
         return {u: tuple(vs) for u, vs in adj.items()}
 
     @cached_property
     def in_arcs(self) -> Mapping[str, tuple[str, ...]]:
         adj: dict[str, list[str]] = {}
-        for u, v in sorted(self.arcs):
+        for u, v in self.sorted_arcs:
             adj.setdefault(v, []).append(u)
         return {v: tuple(us) for v, us in adj.items()}
 
@@ -233,11 +238,14 @@ def to_unit_capacity(t: Topology, s: SnapshotState) -> tuple[Topology, SnapshotS
 
     Each realized pair of a link holding two or more pairs becomes its own
     two-hop route through a fresh unit-gain splitter node; links holding at
-    most one pair pass through unchanged. The returned topology is a
-    state-level construction: its link probabilities are inherited and not
-    meaningful for re-sampling.
+    most one pair pass through unchanged. A state with no such link is
+    already unit-count and comes back as it is: the very (t, s) passed in.
+    Otherwise the returned topology is a state-level construction: its link
+    probabilities are inherited and not meaningful for re-sampling.
     """
     check_vector(t, s.vector)
+    if max(s.vector, default=0) <= 1:
+        return t, s
     nodes = list(t.nodes)
     links: list[LinkSpec] = []
     vec_entries: list[tuple[str, int]] = []

@@ -328,7 +328,7 @@ def _indexed_problem(g: DirectedSnapshot):
         if not 0.0 < gain <= 1.0:
             raise ValueError(f"gain of node '{node}' out of (0, 1]: {gain}")
     nbrs: dict[str, list[str]] = {}
-    for u, v in sorted(g.arcs):
+    for u, v in g.sorted_arcs:
         if u != g.source and v != g.sink:
             if (v, u) not in g.arcs:
                 raise ValueError(
@@ -381,6 +381,7 @@ def solve_snapshot(g: DirectedSnapshot) -> SnapshotSolution:
     packer, routes = _indexed_problem(g)
     counts = [len(r) for r in routes]
     objective = packer.value(counts)
+    nodes = packer.nodes_explored  # before best_packing, whose memo reads would count
     unused = {link: iter(r) for link, r in zip(packer.links, routes)}
     paths = []
     for path in packer.best_packing(counts):
@@ -390,7 +391,7 @@ def solve_snapshot(g: DirectedSnapshot) -> SnapshotSolution:
         delivered = math.prod((g.gains[n] for n in named[1:-1]), start=1.0)
         paths.append(PathFlow(tuple(named), delivered))
     assignment = assignment_from_paths(g, [p.nodes for p in paths])
-    stats = SolveStats(packer.nodes_explored, time.perf_counter() - started)
+    stats = SolveStats(nodes, time.perf_counter() - started)
     return SnapshotSolution(objective, tuple(paths), assignment, stats)
 
 
@@ -402,7 +403,7 @@ def max_disjoint_paths(g: DirectedSnapshot) -> int:
     """
     residual: dict[tuple[str, str], int] = {}
     adj: dict[str, list[str]] = {}
-    for u, v in sorted(g.arcs):
+    for u, v in g.sorted_arcs:
         residual[(u, v)] = residual.get((u, v), 0) + 1
         adj.setdefault(u, []).append(v)
         if (v, u) not in residual:

@@ -1,13 +1,19 @@
 """Constraint checker: demo fixtures, path extraction, objective."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import directed_state, make_topology, solve_state
 from qnetcap import datasets
 from qnetcap.flowcheck import (
     ALL_CONSTRAINTS,
+    TAU,
+    ConstraintReport,
     FlowAssignment,
     InfeasibleAssignmentError,
+    Violation,
     check_assignment,
     extract_paths,
     load_assignment,
@@ -152,3 +158,156 @@ def test_assignment_document_round_trip():
     again = FlowAssignment.from_document(doc)
     assert again.flows == a.flows
     assert again.matchings == a.matchings
+
+
+def reference_adjacency(g):
+    """(out, in) neighbour lists of every node, from the arcs sorted here."""
+    out_arcs, in_arcs = {}, {}
+    for u, v in sorted(g.arcs):
+        out_arcs.setdefault(u, []).append(v)
+        in_arcs.setdefault(v, []).append(u)
+    return out_arcs, in_arcs
+
+
+def reference_triples(g):
+    """All (i, j, k) with arcs (i,j), (j,k), i != k and j internal, in
+    (j, i, k) order."""
+    out_arcs, in_arcs = reference_adjacency(g)
+    triples = []
+    for j in sorted(g.gains):
+        if j in (g.source, g.sink):
+            continue
+        for i in in_arcs.get(j, ()):
+            for k in out_arcs.get(j, ()):
+                if i != k:
+                    triples.append((i, j, k))
+    return tuple(triples)
+
+
+def reference_check(g, a, active=None):
+    """A dense checker: every family reads x on every eligible triple, an
+    absent one as 0, and walks arcs and neighbours sorted here."""
+    tags = frozenset(ALL_CONSTRAINTS if active is None else (s.upper() for s in active))
+    unknown = tags - frozenset(ALL_CONSTRAINTS)
+    if unknown:
+        raise ValueError(f"unknown constraint tags: {sorted(unknown)}")
+    arcs = sorted(g.arcs)
+    out_arcs, in_arcs = reference_adjacency(g)
+    triples = reference_triples(g)
+    for arc in a.flows:
+        if arc not in g.arcs:
+            raise KeyError(f"flow on unknown arc {arc}")
+    for triple in a.matchings:
+        if triple not in set(triples):
+            raise KeyError(f"matching on unknown triple {triple}")
+    fval = a.flows.get
+    xval = a.matchings.get
+    violations = []
+    if "BOUNDS" in tags:
+        for arc in arcs:
+            f = fval(arc, 0.0)
+            if not 0.0 <= f <= 1.0:
+                violations.append(Violation("BOUNDS", arc, max(-f, f - 1.0)))
+        for triple in triples:
+            x = xval(triple, 0)
+            if x not in (0, 1):
+                violations.append(Violation("BOUNDS", triple, float(x)))
+    if "C6" in tags:
+        first_two, last_two = {}, {}
+        for triple in triples:
+            x = xval(triple, 0)
+            if x:
+                first_two[triple[:2]] = first_two.get(triple[:2], 0) + x
+                last_two[triple[1:]] = last_two.get(triple[1:], 0) + x
+        for i, j in arcs:
+            total = first_two.get((i, j), 0) + last_two.get((j, i), 0)
+            if total > 1:
+                violations.append(Violation("C6", (i, j), float(total - 1)))
+    if "C7" in tags:
+        for i, j, k in triples:
+            x = xval((i, j, k), 0)
+            if not x:
+                continue
+            residual = x * (fval((i, j), 0.0) * g.gains[j] - fval((j, k), 0.0))
+            if abs(residual) > TAU:
+                violations.append(Violation("C7", (i, j, k), residual))
+    if "C8" in tags:
+        matched = {}
+        for triple in triples:
+            matched[triple[:2]] = matched.get(triple[:2], 0) + xval(triple, 0)
+        for i, j in arcs:
+            if j == g.sink:
+                continue
+            residual = fval((i, j), 0.0) - matched.get((i, j), 0)
+            if residual > TAU:
+                violations.append(Violation("C8", (i, j), residual))
+    if "C9" in tags:
+        for i in sorted(g.gains):
+            if i in (g.source, g.sink):
+                continue
+            out_flow = sum(fval((i, j), 0.0) for j in out_arcs.get(i, ()))
+            in_flow = sum(fval((j, i), 0.0) for j in in_arcs.get(i, ()))
+            residual = out_flow - in_flow * g.gains[i]
+            if abs(residual) > TAU:
+                violations.append(Violation("C9", i, residual))
+    objective = sum(fval((j, g.sink), 0.0) for j in in_arcs.get(g.sink, ()))
+    return ConstraintReport(tuple(violations), objective)
+
+
+EQUIVALENCE_NETWORKS = ("five_node", "abilene", "nsfnet", *datasets.FIXTURE_TOPOLOGIES)
+FLOW_VALUES = (-0.25, 0.0, 0.5, 1.0, 1.5)
+X_VALUES = (-1, 0, 1, 2)
+
+
+@functools.cache
+def network(name):
+    return datasets.load_dataset(name)
+
+
+def outcome(check, g, a, active):
+    """What a checker makes of one input: its report in comparable form,
+    or the KeyError it raises."""
+    try:
+        report = check(g, a, active)
+    except KeyError as err:
+        return "KeyError", str(err)
+    rows = [(v.constraint, v.location, repr(v.residual)) for v in report.violations]
+    return rows, repr(report.objective)
+
+
+@st.composite
+def checker_inputs(draw):
+    """A drawn state of a network, flows on some of its arcs (values from
+    FLOW_VALUES or the gain of the arc's tail), matchings on some eligible
+    triples in drawn order, maybe one stray arc or triple, and a tag set."""
+    t = network(draw(st.sampled_from(EQUIVALENCE_NETWORKS)))
+    vector = draw(st.tuples(*(st.integers(0, c) for c in t.capacities)))
+    g = directed_state(t, SnapshotState.from_vector(t, vector))
+    arcs = sorted(g.arcs)
+    flows = {}
+    if arcs:
+        for u, v in draw(st.lists(st.sampled_from(arcs), unique=True)):
+            flows[u, v] = draw(st.sampled_from(FLOW_VALUES + (g.gains[u],)))
+    matchings = {}
+    triples = reference_triples(g)
+    if triples:
+        for triple in draw(st.lists(st.sampled_from(triples), unique=True)):
+            matchings[triple] = draw(st.sampled_from(X_VALUES))
+    nodes = sorted(g.gains)
+    if draw(st.booleans()):
+        flows[draw(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)))] = 0.5
+    if draw(st.booleans()):
+        # chained arcs, i == k allowed, or any three nodes
+        chained = [(i, j, k) for i, j in arcs for j2, k in arcs if j2 == j]
+        pool = st.sampled_from(chained) if chained else st.nothing()
+        stray = draw(pool | st.tuples(*[st.sampled_from(nodes)] * 3))
+        matchings[stray] = 1
+    active = draw(st.none() | st.sets(st.sampled_from(ALL_CONSTRAINTS)))
+    return g, FlowAssignment(flows, matchings), active
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=checker_inputs())
+def test_check_assignment_matches_dense_reference(case):
+    g, a, active = case
+    assert outcome(check_assignment, g, a, active) == outcome(reference_check, g, a, active)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_topology, random_instance
+from qnetcap import datasets
 from qnetcap.model import LinkSpec, Topology
 from qnetcap.snapshot import (
     DirectedSnapshot,
@@ -134,6 +135,33 @@ def test_unit_transform_identity_when_unit_counts(five_node):
     t2, s2 = to_unit_capacity(five_node, s)
     assert [l.key for l in t2.links] == [l.key for l in five_node.links]
     assert s2.vector == s.vector
+
+
+def rebuilt_unit_topology(t):
+    """A unit topology rebuilt link by link for a state with counts <= 1:
+    the same nodes and links, each link with c = 1."""
+    links = tuple(LinkSpec(l.u, l.v, p=l.resolved_p(t.constants), c=1) for l in t.links)
+    return Topology(t.nodes, links, t.source, t.sink, t.constants)
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("nsfnet", None),  # every link holds its one pair
+        ("five_node", {"0-1": 1, "0-3": 1, "1-2": 1, "3-4": 1}),  # links of c >= 2 hold 1
+    ],
+)
+def test_unit_transform_passes_unit_states_through(name, counts):
+    t = datasets.load_dataset(name)
+    s = SnapshotState.full(t) if counts is None else SnapshotState.from_counts(t, counts)
+    assert max(s.vector) == 1
+    t2, s2 = to_unit_capacity(t, s)
+    assert t2 is t and s2 is s
+    rebuilt = rebuilt_unit_topology(t)
+    old = to_directed(rebuilt, SnapshotState.from_vector(rebuilt, s.vector))
+    new = to_directed(t2, s2)
+    assert new.arcs == old.arcs
+    assert new.gains == old.gains
 
 
 def test_unit_transform_count_three_link():

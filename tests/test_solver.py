@@ -534,6 +534,15 @@ def test_packer_visit_order_is_pinned(name, nodes, memo, paths, rebuilt_nodes, r
     assert packer.nodes_explored == rebuilt_nodes
     assert len(packer._rebuild_memo) == rebuilt
 
+
+@pytest.mark.parametrize("name, nodes", [("five_node", 23), ("abilene_mux2", 447), ("nsfnet", 198)])
+def test_solve_snapshot_counts_search_nodes_only(name, nodes):
+    # the nodes column of test_packer_visit_order_is_pinned: the search
+    # alone, without the memo reads of the path rebuild that follows it
+    solution = solve_state(datasets.load_dataset(name))
+    assert solution.stats.nodes_explored == nodes
+
+
 def reference_strip(packer, counts):
     """(ok, counts) of a two-pass strip built from packer.links alone: the
     links unreached from the source go, then leaves (internal nodes on one
