@@ -9,7 +9,7 @@ splitter of to_unit_capacity) back into a pair between its neighbours, so
 a state is searched on the same graph as in the capacity engine. One
 branch generator, PathPacker._branch, takes the first live source link and
 yields the child that drops it, then one child per simple path routed over
-it, walking the paths with a stack of adjacency iterators. The optimum
+it, read from the packer's route table of that link's paths. The optimum
 (value) and an optimal packing (best_packing) both loop over its children,
 so they walk the same branches in the same order, each on an explicit
 stack of frames. Optima of pruned residual networks are memoized, so that
@@ -53,6 +53,11 @@ class PathPacker:
     when it drops none and False when the sink is cut off. It fills up to
     STRIP_CAP supports; later misses are stripped but not stored, so the
     table never evicts and a stored answer stays valid.
+
+    The route table (routes) holds each source link's paths on the full
+    graph (_routes). It has no cap: a search of the full state, which
+    solve_snapshot and every capacity mode make, walks all of them on its
+    spine of states that drop the source links one by one.
     """
 
     def __init__(
@@ -77,6 +82,7 @@ class PathPacker:
         self.memo: dict[bytes, float] = {}
         self._rebuild_memo: dict[bytes, tuple[tuple[int, ...], ...]] = {}
         self.strips: dict[bytes, tuple[int, ...] | bool] = {}
+        self.routes: dict[int, list[tuple]] = {}
         self.nodes_explored = 0
 
     def _strip(self, counts: list[int]) -> bool:
@@ -155,24 +161,37 @@ class PathPacker:
 
         The first live source link e is branched on. The first child drops
         e (gain 0.0, prefix None). The others route one more path over e,
-        one per simple source-sink path, depth first in adjacency order:
-        gain is the path's delivered flow, prefix its nodes before the sink
-        (a list valid until the next child), and rest the counts left by
-        the path. Every rest is a fresh list that the caller may keep or
-        change. counts is restored once the children are exhausted.
+        one per route of e (see _routes) whose links all hold pairs: gain
+        is the path's delivered flow, prefix the tuple of its nodes before
+        the sink, and rest the counts left by the path, a fresh list that
+        the caller may keep or change. counts is left as it is.
         """
-        adj = self.adj
-        gains = self.gains
-        sink = self.sink
         for first in self.source_links:
             if counts[first[0]]:
                 break
         rest = counts.copy()
         rest[first[0]] = 0
         yield 0.0, None, rest
-        # depth first over e: gain and untried are the last prefix node's
-        # path gain and unvisited links; stack keeps those of each earlier
-        # prefix node, with the link taken out of it, for the way back
+        routes = self.routes.get(first[0])
+        if routes is None:
+            routes = self.routes[first[0]] = self._routes(first)
+        support = int.from_bytes(bytes(counts).translate(_SUPPORT), "little")
+        for mask, gain, links, prefix in routes:
+            if mask & support == mask:
+                rest = counts.copy()
+                for idx in links:
+                    rest[idx] -= 1
+                yield gain, prefix, rest
+
+    def _routes(self, first: tuple[int, int]) -> list[tuple]:
+        """Simple source-sink paths over the source's adjacency entry first
+        on the full graph, depth first in adjacency order, as (mask, gain,
+        links, prefix): mask has byte i set when link i is on the path.
+        """
+        adj, gains, sink = self.adj, self.gains, self.sink
+        routes = []
+        # gain and untried are the last prefix node's path gain and unvisited
+        # links; stack keeps those of each earlier prefix node, and its link
         visited = bytearray(self.num_nodes)
         visited[self.source] = 1
         prefix = [self.source]
@@ -180,12 +199,10 @@ class PathPacker:
         stack = []
         while True:
             for idx, w in untried:
-                if counts[idx] and not visited[w]:
-                    counts[idx] -= 1
-                    if w == sink:
-                        yield gain, prefix, counts.copy()
-                        counts[idx] += 1
-                        continue
+                if w == sink:
+                    links = (*(frame[1] for frame in stack), idx)
+                    routes.append((sum(1 << 8 * i for i in links), gain, links, tuple(prefix)))
+                elif not visited[w]:
                     visited[w] = 1
                     prefix.append(w)
                     stack.append((gain, idx, untried))
@@ -193,10 +210,9 @@ class PathPacker:
                     break
             else:
                 if not stack:
-                    return
+                    return routes
                 visited[prefix.pop()] = 0
-                gain, idx, untried = stack.pop()
-                counts[idx] += 1
+                gain, _, untried = stack.pop()
 
     def value(self, counts: Sequence[int]) -> float:
         """Optimal total delivered flow for the given per-link pair counts.

@@ -1,5 +1,6 @@
 """Exact solver: worked examples, certificates, properties, oracle parity."""
 
+import itertools
 import math
 import sys
 
@@ -650,3 +651,140 @@ def test_strip_table_stops_at_its_cap(abilene_mux2, monkeypatch):
     capped = sweep()
     assert capped[:3] == (values, nodes, memo)
     assert len(capped[3]) == 4
+
+
+def reference_branch(packer, counts):
+    """The depth-first child generator the route table replaced, verbatim:
+    each path is walked again at every call, and prefix is one list that
+    changes from child to child."""
+    adj = packer.adj
+    gains = packer.gains
+    sink = packer.sink
+    for first in packer.source_links:
+        if counts[first[0]]:
+            break
+    rest = counts.copy()
+    rest[first[0]] = 0
+    yield 0.0, None, rest
+    # depth first over e: gain and untried are the last prefix node's
+    # path gain and unvisited links; stack keeps those of each earlier
+    # prefix node, with the link taken out of it, for the way back
+    visited = bytearray(packer.num_nodes)
+    visited[packer.source] = 1
+    prefix = [packer.source]
+    gain, untried = 1.0, iter((first,))
+    stack = []
+    while True:
+        for idx, w in untried:
+            if counts[idx] and not visited[w]:
+                counts[idx] -= 1
+                if w == sink:
+                    yield gain, prefix, counts.copy()
+                    counts[idx] += 1
+                    continue
+                visited[w] = 1
+                prefix.append(w)
+                stack.append((gain, idx, untried))
+                gain, untried = gain * gains[w], iter(adj[w])
+                break
+        else:
+            if not stack:
+                return
+            visited[prefix.pop()] = 0
+            gain, idx, untried = stack.pop()
+            counts[idx] += 1
+
+
+def assert_branch_matches(packer, counts):
+    """Strips counts, unless the sink is cut off, and checks _branch child
+    by child against reference_branch: gain, prefix (a tuple) and rest, with
+    counts unchanged after the last child. Returns the number of paths."""
+    counts = list(counts)
+    if not packer._strip(counts):
+        return 0
+    expected = [
+        (gain, None if prefix is None else tuple(prefix), rest)
+        for gain, prefix, rest in reference_branch(packer, list(counts))
+    ]
+    before = list(counts)
+    assert list(packer._branch(counts)) == expected
+    assert counts == before
+    return len(expected) - 1
+
+
+def spine(packer, counts):
+    """The stripped states a search of counts walks first: counts, then
+    with its live source links dropped one by one, until the sink is cut."""
+    counts = list(counts)
+    while packer._strip(counts):
+        yield list(counts)
+        counts[next(idx for idx, _ in packer.source_links if counts[idx])] = 0
+
+
+def drawn_states(t, n=300):
+    rng = np.random.default_rng(STRIP_DRAW_SEED)
+    caps = np.asarray(t.capacities)
+    return [[int(k) for k in rng.integers(0, caps + 1)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", datasets.DATASETS)
+def test_branch_matches_depth_first_reference_on_datasets(name):
+    from qnetcap.capacity import topology_packer
+
+    t = datasets.load_dataset(name)
+    packer = topology_packer(t)
+    for counts in [list(t.capacities), *drawn_states(t)]:
+        assert_branch_matches(packer, counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_branch_matches_depth_first_reference_on_mux3_counts(data, abilene):
+    # abilene with c = 3 on every link: counts of 0..3 pairs per link
+    from qnetcap.capacity import topology_packer
+
+    packer = topology_packer(abilene)
+    n = len(packer.links)
+    assert_branch_matches(packer, data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+
+
+def test_branch_matches_depth_first_reference_on_deep_and_parallel_links():
+    from qnetcap.capacity import topology_packer
+    from qnetcap.solver import PathPacker
+
+    topologies = [t for t, _ in deep_topologies()]
+    topologies += [two_deep_source_links(), three_deep_source_links()]
+    for t in topologies:
+        packer = topology_packer(t)
+        for counts in spine(packer, t.capacities):
+            assert assert_branch_matches(packer, counts) > 0
+    # s-a twice, s-t direct, s-b, a-b, a-t and b-t; every count in 0..2
+    packer = PathPacker(
+        "sabt", [(0, 1), (0, 1), (0, 3), (0, 2), (1, 2), (1, 3), (2, 3)], [1.0, 0.9, 0.8, 1.0], 0, 3
+    )
+    paths = [assert_branch_matches(packer, list(c)) for c in itertools.product(range(3), repeat=7)]
+    assert max(paths) == 2  # over either s-a link: a-t and a-b-t
+    assert set(packer.routes) == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("name", datasets.DATASETS)
+def test_route_table_holds_the_full_state_spine(name):
+    # the full-state search walks every path of the table on its spine, so
+    # the table is no larger than that search; later states add nothing
+    from qnetcap.capacity import topology_packer
+
+    t = datasets.load_dataset(name)
+    packer = topology_packer(t)
+    packer.value(t.capacities)
+    expected = {}
+    for counts in spine(packer, t.capacities):
+        first = next(idx for idx, _ in packer.source_links if counts[idx])
+        expected[first] = sum(1 for _ in reference_branch(packer, counts)) - 1
+    stripped = list(t.capacities)
+    assert packer._strip(stripped)
+    assert set(expected) == {idx for idx, _ in packer.source_links if stripped[idx]}
+    table = {first: len(routes) for first, routes in packer.routes.items()}
+    assert table == expected
+    for counts in drawn_states(t):
+        packer.value(counts)
+    assert {first: len(routes) for first, routes in packer.routes.items()} == table
