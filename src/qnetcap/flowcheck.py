@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import yaml
 
-from .model import read_text
+from .model import YAML_LOADER, read_text
 from .snapshot import DirectedSnapshot
 
 TAU = 1e-9  # absolute feasibility tolerance for equality constraints
@@ -82,7 +82,7 @@ class FlowAssignment:
 
 
 def load_assignment(text_or_path) -> FlowAssignment:
-    document = yaml.safe_load(read_text(text_or_path))
+    document = yaml.load(read_text(text_or_path), Loader=YAML_LOADER)
     if not isinstance(document, Mapping):
         raise ValueError("assignment document must be a mapping with flows/matchings")
     return FlowAssignment.from_document(document)

@@ -20,6 +20,8 @@ ROLE_SOURCE = "source"
 ROLE_SINK = "sink"
 ROLE_INTERNAL = "internal"
 MAX_LINK_PAIRS = 255  # the solver keys its memo on pair counts, one byte per link
+# libyaml's parser when PyYAML was built with it; same resolver and constructor
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class TopologyError(ValueError):
@@ -318,7 +320,7 @@ def load_topology(text_or_path) -> Topology:
     """Loads and fully validates a topology from YAML text or a file path."""
     text = read_text(text_or_path)
     try:
-        document = yaml.safe_load(text)
+        document = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise TopologyError([f"document: YAML parse failure: {exc}"]) from exc
     if document is None:

@@ -6,6 +6,13 @@ its swaps from precomputed hop distances, preferring to join the pair end
 nearest the source with the pair end nearest the sink. Swaps succeed
 independently with the node's q; surviving source-sink chains are counted.
 
+A node's swaps depend only on the pair counts of its own links, so each
+node's greedy pairing runs once per such local state. The swap table on the
+run's plan is keyed by (node, *its links' counts) and is cleared wholesale
+once it holds _RAW_CACHE_CAP entries. A trial looks up every internal node's
+swaps, then draws all their outcomes in one call, in node-then-decision
+order.
+
 This is a reconstruction of a hop-distance greedy scheme, meant as a
 non-optimal comparison baseline; it is not a replica of any particular
 published routing algorithm.
@@ -24,6 +31,7 @@ from .capacity import (
     _drain,
     _mean_stderr,
     _moments,
+    _RAW_CACHE_CAP,
     _run_chunks,
     _substream,
     topology_packer,
@@ -70,7 +78,15 @@ def hop_distances(t: Topology, target: str) -> dict[str, float]:
 
 
 class _SimPlan:
-    """Precomputed arrays for fast per-trial simulation, and the run's seed."""
+    """Precomputed arrays for fast per-trial simulation, the run's seed, and
+    the swap table.
+
+    node_links[n] lists node n's link indices in link order, and internal
+    the internal node indices in index order. The swap table `local` maps
+    (node, *counts of node_links[node]) to the node's greedy swaps in
+    decision order, as ((la, ma), (lb, mb)) pairs of pair ends. It is filled
+    on first use and cleared wholesale once it holds _RAW_CACHE_CAP entries.
+    """
 
     def __init__(self, t: Topology, seed: int):
         packer = topology_packer(t)
@@ -82,6 +98,12 @@ class _SimPlan:
         d_t = hop_distances(t, t.sink)
         self.d_s = [d_s[nid] for nid in self.ids]
         self.d_t = [d_t[nid] for nid in self.ids]
+        self.node_links: list[list[int]] = [[] for _ in self.ids]
+        for l, (u, v) in enumerate(self.links):
+            self.node_links[u].append(l)
+            self.node_links[v].append(l)
+        self.internal = [n for n in range(len(self.ids)) if n not in (self.source, self.sink)]
+        self.local: dict[tuple[int, ...], tuple] = {}
 
 
 def _pair_cost(plan: _SimPlan, count: int, here: int, other: int, to_source: bool):
@@ -96,79 +118,92 @@ def _pair_cost(plan: _SimPlan, count: int, here: int, other: int, to_source: boo
     return d[other]
 
 
+def _local_pairings(plan: _SimPlan, node: int, counts) -> tuple:
+    """The node's greedy swaps, in decision order, given its links' counts.
+
+    Repeatedly pairs the live end nearest the source with the live end
+    nearest the sink. A pair end is (link index, pair index), listed by
+    link, then by pair index.
+    """
+    # the keys (cost, other ids, m's) are unique on a simple graph, so
+    # the order of remaining never matters
+    remaining = [(l, m) for l in plan.node_links[node] for m in range(counts[l])]
+    swaps = []
+    while len(remaining) >= 2:
+        best = None
+        for a in remaining:
+            la, ma = a
+            ua, va = plan.links[la]
+            other_a = va if ua == node else ua
+            cost_a = _pair_cost(plan, counts[la], node, other_a, to_source=True)
+            for b in remaining:
+                if b == a:
+                    continue
+                lb, mb = b
+                ub, vb = plan.links[lb]
+                other_b = vb if ub == node else ub
+                cost_b = _pair_cost(plan, counts[lb], node, other_b, to_source=False)
+                key = (cost_a + cost_b, plan.ids[other_a], plan.ids[other_b], ma, mb)
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        _, a, b = best
+        swaps.append((a, b))
+        remaining.remove(a)
+        remaining.remove(b)
+    return tuple(swaps)
+
+
 def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
     counts = plan.slots.draw(gen).tolist()
 
-    # pair instances: (link index, pair index); each has an end at both link nodes
-    instances: list[tuple[int, int]] = []
-    incident: dict[int, list[int]] = {}
-    for l, k in enumerate(counts):
-        u, v = plan.links[l]
-        for m in range(k):
-            inst = len(instances)
-            instances.append((l, m))
-            incident.setdefault(u, []).append(inst)
-            incident.setdefault(v, []).append(inst)
+    # each internal node's swaps depend only on its own links' counts
+    local, node_links = plan.local, plan.node_links
+    picks = []  # (node, its swaps) for every node that swaps
+    n = 0
+    for node in plan.internal:
+        key = (node, *[counts[l] for l in node_links[node]])
+        pairs = local.get(key)
+        if pairs is None:
+            if len(local) >= _RAW_CACHE_CAP:
+                local.clear()
+            pairs = local[key] = _local_pairings(plan, node, counts)
+        if pairs:
+            picks.append((node, pairs))
+            n += len(pairs)
 
-    # each internal node pairs its live ends greedily; decisions are local
-    partner: dict[tuple[int, int], tuple[int, bool]] = {}  # (node, inst) -> (inst, swap ok)
-    for node in range(len(plan.ids)):
-        if node in (plan.source, plan.sink):
-            continue
-        ends = incident.get(node)
-        if not ends or len(ends) < 2:
-            continue
-        # the keys (cost, other ids, m's) are unique on a simple graph, so
-        # the order of remaining never matters
-        remaining = list(ends)
-        while len(remaining) >= 2:
-            best = None
-            for a in remaining:
-                la, ma = instances[a]
-                ua, va = plan.links[la]
-                other_a = va if ua == node else ua
-                cost_a = _pair_cost(plan, counts[la], node, other_a, to_source=True)
-                for b in remaining:
-                    if b == a:
-                        continue
-                    lb, mb = instances[b]
-                    ub, vb = plan.links[lb]
-                    other_b = vb if ub == node else ub
-                    cost_b = _pair_cost(plan, counts[lb], node, other_b, to_source=False)
-                    key = (cost_a + cost_b, plan.ids[other_a], plan.ids[other_b], ma, mb)
-                    if best is None or key < best[0]:
-                        best = (key, a, b)
-            _, a, b = best
-            ok = bool(gen.random() < plan.q[node])
-            partner[(node, a)] = (b, ok)
-            partner[(node, b)] = (a, ok)
-            remaining.remove(a)
-            remaining.remove(b)
+    # one draw per swap, in node-then-decision order; keep the successes
+    partner: dict[tuple[int, tuple[int, int]], tuple[int, int]] = {}  # (node, end) -> end
+    if n:
+        draws = iter(gen.random(n).tolist())
+        for node, pairs in picks:
+            q = plan.q[node]
+            for a, b in pairs:
+                if next(draws) < q:
+                    partner[(node, a)] = b
+                    partner[(node, b)] = a
 
     # count chains that run from source to sink over successful swaps
     delivered = 0
-    for inst in incident.get(plan.source, ()):
-        l, _ = instances[inst]
-        u, v = plan.links[l]
-        node = v if u == plan.source else u
-        current = inst
-        visited = {inst}
-        while True:
-            if node == plan.sink:
-                delivered += 1
-                break
-            if node == plan.source:
-                break  # chain looped back to the source end
-            hop = partner.get((node, current))
-            if hop is None or not hop[1]:
-                break  # unpaired end or failed swap
-            current = hop[0]
-            if current in visited:
-                break  # cycle: delivers nothing
-            visited.add(current)
-            l, _ = instances[current]
+    for l in plan.node_links[plan.source]:
+        for m in range(counts[l]):
             u, v = plan.links[l]
-            node = v if u == node else u
+            node = v if u == plan.source else u
+            current = (l, m)
+            visited = {current}
+            while True:
+                if node == plan.sink:
+                    delivered += 1
+                    break
+                if node == plan.source:
+                    break  # chain looped back to the source end
+                current = partner.get((node, current))
+                if current is None:
+                    break  # unpaired end or failed swap
+                if current in visited:
+                    break  # cycle: delivers nothing
+                visited.add(current)
+                u, v = plan.links[current[0]]
+                node = v if u == node else u
     return delivered
 
 

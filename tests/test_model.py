@@ -1,10 +1,12 @@
 """Topology data model, loss-model derivation, file ingestion."""
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from qnetcap import datasets
 from qnetcap.model import (
+    YAML_LOADER,
     LinkSpec,
     LossConstants,
     NodeSpec,
@@ -227,3 +229,17 @@ def test_with_endpoints_swap(five_node):
     swapped = five_node.with_endpoints(five_node.sink, five_node.source)
     assert swapped.source == five_node.sink
     assert {l.key for l in swapped.links} == {l.key for l in five_node.links}
+
+
+@pytest.mark.parametrize(
+    "name", datasets.DATASETS + datasets.FIXTURE_TOPOLOGIES + datasets.FIXTURE_ASSIGNMENTS
+)
+def test_yaml_loader_reads_every_bundled_document_like_safe_load(name):
+    text = datasets.dataset_text(name)
+    assert yaml.load(text, Loader=YAML_LOADER) == yaml.safe_load(text)
+
+
+def test_malformed_yaml_is_a_topology_error():
+    with pytest.raises(TopologyError) as info:
+        load_topology("nodes: [")
+    assert info.value.diagnostics[0].startswith("document: YAML parse failure:")

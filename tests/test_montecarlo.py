@@ -1,12 +1,25 @@
 """Local-knowledge greedy baseline simulation."""
 
+import hashlib
 import io
 
 import pytest
 
-from conftest import make_topology
-from qnetcap.capacity import exact_capacity
-from qnetcap.montecarlo import TRIAL_CHUNK, SimConfig, hop_distances, simulate_local_knowledge
+import numpy as np
+
+from conftest import make_topology, random_instance
+from qnetcap import montecarlo
+from qnetcap.capacity import _substream, exact_capacity
+from qnetcap.datasets import DATASETS, load_dataset
+from qnetcap.montecarlo import (
+    TRIAL_CHUNK,
+    SimConfig,
+    _pair_cost,
+    _run_trial,
+    _SimPlan,
+    hop_distances,
+    simulate_local_knowledge,
+)
 
 
 def test_config_rejects_nonpositive_samples():
@@ -104,3 +117,144 @@ def test_per_trial_csv(five_node):
     assert len(lines) == n + 1
     delivered = [int(line.split(",")[1]) for line in lines[1:]]
     assert sum(delivered) / n == pytest.approx(result.mean, abs=1e-12)
+
+
+def test_simulate_estimates_are_pinned():
+    # exact reprs from the per-trial greedy loop, so that any change to the
+    # simulator's draws or decisions shows up as a changed figure
+    pins = {
+        "abilene_mux2": (1.63720703125, 0.018374798060105686),
+        "nsfnet": (0.0869140625, 0.006452236417125821),
+    }
+    for name, (mean, stderr) in pins.items():
+        for threads in (1, 2):
+            t = load_dataset(name)
+            r = simulate_local_knowledge(t, SimConfig(2048, seed=1), threads=threads)
+            assert (repr(r.mean), repr(r.stderr)) == (repr(mean), repr(stderr)), (name, threads)
+    buf = io.StringIO()
+    simulate_local_knowledge(load_dataset("abilene_mux2"), SimConfig(2048, seed=1), per_trial=buf)
+    digest = hashlib.sha1(buf.getvalue().encode()).hexdigest()
+    assert digest == "e2154570ef0b14141e3a12513ced8964eea7c904"
+
+
+def reference_trial(plan, gen):
+    """The simulator's trial as it was before the swap table: every trial
+    runs the greedy pairing again at every internal node."""
+    counts = plan.slots.draw(gen).tolist()
+
+    # pair instances: (link index, pair index); each has an end at both link nodes
+    instances: list[tuple[int, int]] = []
+    incident: dict[int, list[int]] = {}
+    for l, k in enumerate(counts):
+        u, v = plan.links[l]
+        for m in range(k):
+            inst = len(instances)
+            instances.append((l, m))
+            incident.setdefault(u, []).append(inst)
+            incident.setdefault(v, []).append(inst)
+
+    # each internal node pairs its live ends greedily; decisions are local
+    partner: dict[tuple[int, int], tuple[int, bool]] = {}  # (node, inst) -> (inst, swap ok)
+    for node in range(len(plan.ids)):
+        if node in (plan.source, plan.sink):
+            continue
+        ends = incident.get(node)
+        if not ends or len(ends) < 2:
+            continue
+        # the keys (cost, other ids, m's) are unique on a simple graph, so
+        # the order of remaining never matters
+        remaining = list(ends)
+        while len(remaining) >= 2:
+            best = None
+            for a in remaining:
+                la, ma = instances[a]
+                ua, va = plan.links[la]
+                other_a = va if ua == node else ua
+                cost_a = _pair_cost(plan, counts[la], node, other_a, to_source=True)
+                for b in remaining:
+                    if b == a:
+                        continue
+                    lb, mb = instances[b]
+                    ub, vb = plan.links[lb]
+                    other_b = vb if ub == node else ub
+                    cost_b = _pair_cost(plan, counts[lb], node, other_b, to_source=False)
+                    key = (cost_a + cost_b, plan.ids[other_a], plan.ids[other_b], ma, mb)
+                    if best is None or key < best[0]:
+                        best = (key, a, b)
+            _, a, b = best
+            ok = bool(gen.random() < plan.q[node])
+            partner[(node, a)] = (b, ok)
+            partner[(node, b)] = (a, ok)
+            remaining.remove(a)
+            remaining.remove(b)
+
+    # count chains that run from source to sink over successful swaps
+    delivered = 0
+    for inst in incident.get(plan.source, ()):
+        l, _ = instances[inst]
+        u, v = plan.links[l]
+        node = v if u == plan.source else u
+        current = inst
+        visited = {inst}
+        while True:
+            if node == plan.sink:
+                delivered += 1
+                break
+            if node == plan.source:
+                break  # chain looped back to the source end
+            hop = partner.get((node, current))
+            if hop is None or not hop[1]:
+                break  # unpaired end or failed swap
+            current = hop[0]
+            if current in visited:
+                break  # cycle: delivers nothing
+            visited.add(current)
+            l, _ = instances[current]
+            u, v = plan.links[l]
+            node = v if u == node else u
+    return delivered
+
+
+def plain(state):
+    """A bit generator's state with its arrays as lists, so that == compares it."""
+    if isinstance(state, dict):
+        return {k: plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def assert_trials_match(t, trials, seed=3):
+    """Same delivered count and same generator state after every trial."""
+    plan = _SimPlan(t, seed)
+    for i in range(trials):
+        old, new = _substream(seed, i), _substream(seed, i)
+        assert reference_trial(plan, old) == _run_trial(plan, new), i
+        assert plain(old.bit_generator.state) == plain(new.bit_generator.state), i
+    return plan
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_trials_match_the_per_trial_pairing_on_datasets(name):
+    assert_trials_match(load_dataset(name), 2048)
+
+
+def test_trials_match_the_per_trial_pairing_on_random_networks():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        t, _ = random_instance(rng, mux=True, vary_p=True)
+        assert_trials_match(t, 20)
+
+
+def test_trials_match_with_three_pairs_per_link_at_a_degree_three_node():
+    caps = {("s", "a"): 3, ("a", "b"): 3, ("a", "t"): 3}
+    pairs = [("s", "a"), ("a", "b"), ("a", "t"), ("b", "t"), ("s", "b")]
+    t = make_topology({"a": 0.7, "b": 0.4}, pairs, p=0.6, caps=caps)
+    plan = assert_trials_match(t, 500)
+    a = plan.ids.index("a")
+    assert len(plan.node_links[a]) == 3
+    assert any(key[0] == a and len(swaps) >= 3 for key, swaps in plan.local.items())
+
+
+def test_trials_match_when_the_swap_table_clears(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_RAW_CACHE_CAP", 2)
+    plan = assert_trials_match(load_dataset("abilene_mux2"), 256)
+    assert len(plan.local) <= 2
