@@ -272,15 +272,17 @@ class _ChainTree:
     """Conditioning tree of one topology over its series chains (see the
     module docstring), with a packer as leaf evaluator.
 
-    A tree node is a count vector and a bit mask of the open (undecided
-    and relevant) chains, whose links hold their full capacity in the
-    vector. Nodes are settled in place: stripped, with the chains the strip
-    drops taken out of the mask.
+    A tree node is a packed state (see PathPacker.pack) and a bit mask of
+    the open (undecided and relevant) chains, whose links hold their full
+    capacity in the state. Nodes are settled: stripped, with the chains the
+    strip drops taken out of the mask. Deciding chain j at k pairs is
+    (s & chain_clear[j]) + k * chain_ones[j]: chain_ones[j] has a 1 in the
+    byte of each of j's links, and chain_clear[j] zeroes those bytes.
     """
 
     def __init__(self, t: Topology, packer: PathPacker):
         self.packer = packer
-        self.capacities = list(t.capacities)
+        self.full = packer.pack(t.capacities)
         self.chains = series_chains(t)
         pmfs = link_pmfs(t)
         self.pmfs = [chain_pmf([pmfs[l] for l in chain]) for chain in self.chains]
@@ -288,12 +290,17 @@ class _ChainTree:
         for j, chain in enumerate(self.chains):
             for l in chain:
                 self.chain_of[l] = j
-        self.mask_bytes = (len(self.chains) + 7) // 8
+        self.chain_firsts = [0xFF << 8 * chain[0] for chain in self.chains]
+        self.chain_ones = [sum(1 << 8 * l for l in chain) for chain in self.chains]
+        full = packer.ones * 0xFF
+        self.chain_clear = [full ^ ones * 0xFF for ones in self.chain_ones]
+        self.open_shift = 8 * len(t.links)  # interior memo keys: open mask above the state
 
-    def _settle(self, counts: list[int], open_: int, kept: bool) -> Optional[tuple[int, int]]:
-        """Strips the node; None if the sink is cut off, else the open mask
-        left and the open chain to branch on, -1 at a leaf. The chain is the
-        first open one met by a breadth-first search from the source.
+    def _settle(self, s: int, open_: int, kept: bool) -> Optional[tuple[int, int, int]]:
+        """Strips the node; None if the sink is cut off, else the settled
+        state, the open mask left and the open chain to branch on, -1 at a
+        leaf. The chain is the first open one met by a breadth-first search
+        from the source.
 
         kept: the node holds pairs on the same links as its settled parent
         (only counts changed), so stripping would change nothing.
@@ -301,17 +308,19 @@ class _ChainTree:
         packer = self.packer
         live = open_
         if not kept:
-            if not packer._strip(counts):
+            s = packer._strip(s)
+            if not s:
                 return None
-            chains, rest = self.chains, open_
+            firsts, rest = self.chain_firsts, open_
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                if not counts[chains[bit.bit_length() - 1][0]]:
+                if not s & firsts[bit.bit_length() - 1]:
                     live ^= bit
         if not live:
-            return live, -1
+            return s, live, -1
         adj, chain_of = packer.adj, self.chain_of
+        counts = s.to_bytes(len(chain_of), "little")
         seen = bytearray(packer.num_nodes)
         seen[packer.source] = 1
         queue = [packer.source]
@@ -320,74 +329,71 @@ class _ChainTree:
                 if counts[idx]:
                     j = chain_of[idx]
                     if live >> j & 1:
-                        return live, j
+                        return s, live, j
                     if not seen[w]:
                         seen[w] = 1
                         queue.append(w)
         raise AssertionError("an open chain outlived the strip")
 
-    def _children(self, counts: list[int], live: int, j: int) -> Iterator:
-        """(probability, counts, open mask, kept) of each child with chain
+    def _children(self, s: int, live: int, j: int) -> Iterator:
+        """(probability, state, open mask, kept) of each child with chain
         j decided, in count order; children of probability 0 are left out.
         A child with pairs on j keeps the links of its parent (see _settle)."""
-        links, rest = self.chains[j], live & ~(1 << j)
+        base, ones, rest = s & self.chain_clear[j], self.chain_ones[j], live & ~(1 << j)
         for k, prob in enumerate(self.pmfs[j]):
             if prob:
-                child = counts.copy()
-                for l in links:
-                    child[l] = k
-                yield prob, child, rest, k > 0
+                yield prob, base + k * ones, rest, k > 0
 
     def prefixes(self, depth: int) -> list[tuple[float, Optional[tuple]]]:
         """(mass, node) of the tree's nodes `depth` levels down and of its
         shallower leaves and cut-off nodes, depth first; node is None where
-        the sink is cut off, else the settled (counts, open mask)."""
+        the sink is cut off, else the settled (state, open mask)."""
         out = []
-        stack = [(1.0, self.capacities.copy(), (1 << len(self.chains)) - 1, False, 0)]
+        stack = [(1.0, self.full, (1 << len(self.chains)) - 1, False, 0)]
         while stack:
-            mass, counts, open_, kept, level = stack.pop()
-            settled = self._settle(counts, open_, kept)
+            mass, s, open_, kept, level = stack.pop()
+            settled = self._settle(s, open_, kept)
             if settled is None:
                 out.append((mass, None))
                 continue
-            live, j = settled
+            s, live, j = settled
             if j < 0 or level == depth:
-                out.append((mass, (counts, live)))
+                out.append((mass, (s, live)))
                 continue
-            children = list(self._children(counts, live, j))
+            children = list(self._children(s, live, j))
             for prob, child, rest, kept in reversed(children):
                 stack.append((mass * prob, child, rest, kept, level + 1))
         return out
 
-    def expected(self, counts: list[int], open_: int) -> float:
+    def expected(self, s: int, open_: int) -> float:
         """Expected leaf value below one node, over its open chains.
 
         The walk keeps one frame per interior node on the way down: its
         memo key, its children still to come, their weighted values so far
         and the probability of the child being walked. Interior nodes are
-        memoized on the settled counts plus the open mask, which no count
-        can be confused with.
+        memoized on the settled state with the open mask above its bytes.
         """
-        packer, mask_bytes = self.packer, self.mask_bytes
-        memo: dict[bytes, float] = {}
+        packer, shift = self.packer, self.open_shift
+        memo: dict[int, float] = {}
         frames: list[list] = []
         kept = True  # a job's node comes settled
         while True:
-            settled = self._settle(counts, open_, kept)
+            settled = self._settle(s, open_, kept)
             if settled is None:
                 value = 0.0
-            elif settled[1] < 0:
-                # settled counts are stripped, as the packer keys its memo
-                value = packer.memo.get(bytes(counts))
+            elif settled[2] < 0:
+                # a settled state is stripped, as the packer keys its memo
+                s = settled[0]
+                value = packer.memo.get(s)
                 if value is None:
-                    value = packer.value(counts)
+                    value = packer._search(s)
             else:
-                live, j = settled
-                key = bytes(counts) + live.to_bytes(mask_bytes, "little")
+                s, live, j = settled
+                key = live << shift | s
                 value = memo.get(key)
                 if value is None:
-                    children = self._children(counts, live, j)
-                    prob, counts, open_, kept = next(children)
+                    children = self._children(s, live, j)
+                    prob, s, open_, kept = next(children)
                     frames.append([key, children, [], prob])
                     continue
             while frames:
@@ -395,7 +401,7 @@ class _ChainTree:
                 terms.append(prob * value)
                 child = next(children, None)
                 if child is not None:
-                    frame[3], counts, open_, kept = child
+                    frame[3], s, open_, kept = child
                     break
                 frames.pop()
                 value = memo[key] = math.fsum(terms)
@@ -403,7 +409,7 @@ class _ChainTree:
                 return value
 
 
-def _tree_job(tree: _ChainTree, job: tuple[list[int], int]) -> float:
+def _tree_job(tree: _ChainTree, job: tuple[int, int]) -> float:
     return tree.expected(*job)
 
 

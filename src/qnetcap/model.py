@@ -19,7 +19,7 @@ import yaml
 ROLE_SOURCE = "source"
 ROLE_SINK = "sink"
 ROLE_INTERNAL = "internal"
-MAX_LINK_PAIRS = 255  # the solver keys its memo on pair counts, one byte per link
+MAX_LINK_PAIRS = 255  # the solver packs a state's pair counts one byte per link
 # libyaml's parser when PyYAML was built with it; same resolver and constructor
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 

@@ -15,11 +15,20 @@ so they walk the same branches in the same order, each on an explicit
 stack of frames. Optima of pruned residual networks are memoized, so that
 repeated sub-networks (ubiquitous during state enumeration) are solved once.
 
+A search state is one int, the packed state: byte i holds the pair count
+of link i, which MAX_LINK_PAIRS keeps within a byte. value and
+best_packing pack their count vector once (PathPacker.pack). A path's
+byte mask has a 1 in the byte of each of its links, so routing the path
+is one subtraction, which never borrows where every link holds a pair,
+and dropping a link is one AND.
+
 Every search node is first stripped: links on no source-sink path are
 zeroed, and a cut-off sink ends the node. What the strip drops depends only
 on the support, the set of links that hold pairs, not on how many they
-hold, so each packer keeps the links to drop per support in a strip table
-of at most STRIP_CAP supports, and computes the strip only on a miss.
+hold. The support is folded out of the state with three shifts (bit 8i is
+set when link i holds pairs), and each packer keeps a keep mask per support
+in a strip table of at most STRIP_CAP supports, computing the strip only
+on a miss. The memo is keyed on the stripped state itself.
 """
 
 from __future__ import annotations
@@ -36,7 +45,6 @@ from .snapshot import DirectedSnapshot
 
 MEMO_CAP = 4_000_000  # entries per packer; cleared wholesale when exceeded
 STRIP_CAP = 1 << 13  # supports per packer strip table; later misses are not stored
-_SUPPORT = bytes([0] + [1] * 255)  # translate table: pair count -> 0/1 support
 
 
 class PathPacker:
@@ -48,11 +56,16 @@ class PathPacker:
     topology amortizes the search. Both searches walk explicit stacks of
     frames, so no instance is too deep for the interpreter's stack.
 
-    The strip table (strips) maps a support, bytes(counts) with every
-    nonzero count read as 1, to the tuple of links the strip zeroes, ()
-    when it drops none and False when the sink is cut off. It fills up to
-    STRIP_CAP supports; later misses are stripped but not stored, so the
-    table never evicts and a stored answer stays valid.
+    States are packed (see pack): byte i of the int is the pair count of
+    link i. The support of a state s is the fold
+    x = s | s >> 4; x |= x >> 2; x |= x >> 1; x & ones, with bit 8i set
+    when link i holds pairs (ones has a 1 in every link's byte). The strip
+    table (strips) maps a support to its keep mask: 0xFF in the byte of
+    each link the strip keeps, or 0 when the sink is cut off, so a stripped
+    state is s & keep and a cut one is 0. It fills up to STRIP_CAP
+    supports; later misses are stripped but not stored, so the table never
+    evicts and a stored answer stays valid. The memo (memo, and
+    _rebuild_memo for best_packing) is keyed on the stripped state.
 
     The route table (routes) holds each source link's paths on the full
     graph (_routes). It has no cap: a search of the full state, which
@@ -79,42 +92,70 @@ class PathPacker:
             adj[v].append((idx, u))
         self.adj = tuple(tuple(sorted(entries)) for entries in adj)
         self.source_links = self.adj[source]
-        self.memo: dict[bytes, float] = {}
-        self._rebuild_memo: dict[bytes, tuple[tuple[int, ...], ...]] = {}
-        self.strips: dict[bytes, tuple[int, ...] | bool] = {}
+        self.ones = int.from_bytes(b"\x01" * len(self.links), "little")
+        # per source link in branch order: its support bit, the mask that
+        # clears its byte, and its adjacency entry
+        full = self.ones * 0xFF
+        self._firsts = tuple(
+            (1 << 8 * first[0], full ^ 0xFF << 8 * first[0], first) for first in self.source_links
+        )
+        self._source_ones = sum(1 << 8 * idx for idx, _ in self.source_links)
+        self._sink_ones = sum(1 << 8 * idx for idx, _ in self.adj[sink])
+        self.memo: dict[int, float] = {}
+        self._rebuild_memo: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.strips: dict[int, int] = {}
         self.routes: dict[int, list[tuple]] = {}
         self.nodes_explored = 0
 
-    def _strip(self, counts: list[int]) -> bool:
-        """Drops links that cannot lie on any source-sink path; False if cut.
+    def pack(self, counts: Sequence[int]) -> int:
+        """The packed state of a count vector: byte i is counts[i]."""
+        if len(counts) != len(self.links):
+            raise ValueError(
+                f"count vector has {len(counts)} entries, the packer has {len(self.links)} links"
+            )
+        data = bytearray(counts)
+        if len(data) != len(counts):  # a buffer of wider items, such as a numpy int64 array
+            data = bytearray(list(counts))
+        return int.from_bytes(data, "little")
 
-        The answer depends only on the support, so it is looked up in the
-        strip table and computed by _support_strip on a miss.
+    def _support(self, s: int) -> int:
+        """The support of the state s: bit 8i is set where link i holds pairs."""
+        x = s | s >> 4
+        x |= x >> 2
+        x |= x >> 1
+        return x & self.ones
+
+    def _strip(self, s: int) -> int:
+        """The state s with links on no source-sink path zeroed; 0 if cut.
+
+        The keep mask depends only on the support, so it is looked up in
+        the strip table and computed by _support_strip on a miss.
         """
-        key = bytes(counts).translate(_SUPPORT)
-        drop = self.strips.get(key)
-        if drop is None:
-            drop = self._support_strip(counts)
+        x = self._support(s)
+        keep = self.strips.get(x)
+        if keep is None:
+            keep = self._support_strip(x)
+        return s & keep
+
+    def _support_strip(self, x: int) -> int:
+        """The keep mask of support x, stored while the table has room.
+
+        The sink is cut off at once when no link at the source or none at
+        the sink holds pairs. Otherwise one depth-first search from the
+        source counts the live links of each node it reaches (deg stays -1
+        at the others) and collects the degree-1 leaves. A live link it did
+        not reach has both ends unreached; they are looked for only when
+        the reached link ends fall short of two per live link. Then leaves
+        are peeled until none is left; the links peeled do not depend on
+        the order. kept is the support left, read off as the keep mask.
+        """
+        if not x & self._source_ones or not x & self._sink_ones:
+            keep = 0
             if len(self.strips) < STRIP_CAP:
-                self.strips[key] = drop
-            return drop is not False
-        if drop is False:
-            return False
-        for idx in drop:
-            counts[idx] = 0
-        return True
-
-    def _support_strip(self, counts: list[int]) -> tuple[int, ...] | bool:
-        """Strips counts in place: the links to drop, False if cut.
-
-        One depth-first search from the source counts the live links of
-        each node it reaches (deg stays -1 at the others) and collects the
-        degree-1 leaves. A live link it did not reach has both ends
-        unreached; they are looked for only when the reached link ends
-        fall short of two per live link. Then leaves are peeled until none
-        is left; the links peeled do not depend on the order.
-        """
+                self.strips[x] = keep
+            return keep
         adj, source, sink = self.adj, self.source, self.sink
+        live = list(x.to_bytes(len(self.links), "little"))  # a list indexes fastest
         deg = [-1] * self.num_nodes
         deg[source] = 0
         leaves = []
@@ -124,7 +165,7 @@ class PathPacker:
             u = stack.pop()
             d = 0
             for idx, w in adj[u]:
-                if counts[idx]:
+                if live[idx]:
                     d += 1
                     if deg[w] < 0:
                         deg[w] = 0
@@ -134,59 +175,57 @@ class PathPacker:
             if d == 1 and u != source and u != sink:
                 leaves.append(u)
         if deg[sink] < 0:
-            return False
-        drop = []
-        if ends < 2 * (len(counts) - counts.count(0)):
-            for idx, (u, _) in enumerate(self.links):
-                if counts[idx] and deg[u] < 0:
-                    counts[idx] = 0
-                    drop.append(idx)
-        while leaves:
-            n = leaves.pop()
-            if deg[n] != 1:
-                continue
-            for idx, w in adj[n]:
-                if counts[idx]:
-                    counts[idx] = 0
-                    drop.append(idx)
-                    deg[n] -= 1
-                    deg[w] -= 1
-                    if deg[w] == 1 and w != source and w != sink:
-                        leaves.append(w)
-                    break
-        return tuple(drop)
+            keep = 0
+        else:
+            kept = x
+            if ends < 2 * x.bit_count():
+                for idx, (u, _) in enumerate(self.links):
+                    if live[idx] and deg[u] < 0:
+                        kept ^= 1 << 8 * idx
+            while leaves:
+                n = leaves.pop()
+                if deg[n] != 1:
+                    continue
+                for idx, w in adj[n]:
+                    if live[idx]:
+                        live[idx] = 0
+                        kept ^= 1 << 8 * idx
+                        deg[n] -= 1
+                        deg[w] -= 1
+                        if deg[w] == 1 and w != source and w != sink:
+                            leaves.append(w)
+                        break
+            keep = kept * 0xFF
+        if len(self.strips) < STRIP_CAP:
+            self.strips[x] = keep
+        return keep
 
-    def _branch(self, counts: list[int]):
-        """Yields (gain, prefix, rest) once per child of a stripped state.
+    def _branch(self, s: int, support: int):
+        """Yields (gain, prefix, rest) once per child of a stripped state s
+        with the given support.
 
         The first live source link e is branched on. The first child drops
         e (gain 0.0, prefix None). The others route one more path over e,
         one per route of e (see _routes) whose links all hold pairs: gain
         is the path's delivered flow, prefix the tuple of its nodes before
-        the sink, and rest the counts left by the path, a fresh list that
-        the caller may keep or change. counts is left as it is.
+        the sink, and rest the state left by the path, s less the path's
+        mask.
         """
-        for first in self.source_links:
-            if counts[first[0]]:
+        for bit, clear, first in self._firsts:
+            if support & bit:
                 break
-        rest = counts.copy()
-        rest[first[0]] = 0
-        yield 0.0, None, rest
+        yield 0.0, None, s & clear
         routes = self.routes.get(first[0])
         if routes is None:
             routes = self.routes[first[0]] = self._routes(first)
-        support = int.from_bytes(bytes(counts).translate(_SUPPORT), "little")
-        for mask, gain, links, prefix in routes:
+        for mask, gain, prefix in routes:
             if mask & support == mask:
-                rest = counts.copy()
-                for idx in links:
-                    rest[idx] -= 1
-                yield gain, prefix, rest
+                yield gain, prefix, s - mask
 
     def _routes(self, first: tuple[int, int]) -> list[tuple]:
         """Simple source-sink paths over the source's adjacency entry first
         on the full graph, depth first in adjacency order, as (mask, gain,
-        links, prefix): mask has byte i set when link i is on the path.
+        prefix): mask has a 1 in the byte of each link on the path.
         """
         adj, gains, sink = self.adj, self.gains, self.sink
         routes = []
@@ -201,7 +240,7 @@ class PathPacker:
             for idx, w in untried:
                 if w == sink:
                     links = (*(frame[1] for frame in stack), idx)
-                    routes.append((sum(1 << 8 * i for i in links), gain, links, tuple(prefix)))
+                    routes.append((sum(1 << 8 * i for i in links), gain, tuple(prefix)))
                 elif not visited[w]:
                     visited[w] = 1
                     prefix.append(w)
@@ -215,40 +254,53 @@ class PathPacker:
                 gain, _, untried = stack.pop()
 
     def value(self, counts: Sequence[int]) -> float:
-        """Optimal total delivered flow for the given per-link pair counts.
+        """Optimal total delivered flow for the given per-link pair counts."""
+        return self._search(self.pack(counts))
+
+    def _search(self, s: int) -> float:
+        """Optimal total delivered flow of the packed state s.
 
         The walk keeps one frame per unfinished search node on the way down:
         its memo key, its children still to come, the best value so far and
         the gain of the child being walked.
         """
-        memo, strip = self.memo, self._strip
-        counts = list(counts)
+        memo, strips, ones = self.memo, self.strips, self.ones
         frames: list[list] = []
+        nodes = 0
         while True:
-            self.nodes_explored += 1
-            if not strip(counts):
-                value = 0.0
-            else:
-                key = bytes(counts)
-                value = memo.get(key)
+            nodes += 1
+            # _support and _strip, inline: this loop runs once per search node
+            x = s | s >> 4
+            x |= x >> 2
+            x |= x >> 1
+            x &= ones
+            keep = strips.get(x)
+            if keep is None:
+                keep = self._support_strip(x)
+            if keep:
+                s &= keep
+                value = memo.get(s)
                 if value is None:
-                    children = self._branch(counts)
-                    gain, _, counts = next(children)
-                    frames.append([key, children, 0.0, gain])
+                    children = self._branch(s, x & keep)
+                    frames.append([s, children, 0.0, 0.0])
+                    s = next(children)[2]
                     continue
+            else:
+                value = 0.0
             while frames:
                 key, children, best, gain = frame = frames[-1]
                 if gain + value > best:
                     frame[2] = gain + value
                 child = next(children, None)
                 if child is not None:
-                    frame[3], _, counts = child
+                    frame[3], _, s = child
                     break
                 frames.pop()
                 if len(memo) >= MEMO_CAP:
                     memo.clear()
                 value = memo[key] = frame[2]
             else:
+                self.nodes_explored += nodes
                 return value
 
     def best_packing(self, counts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -262,17 +314,17 @@ class PathPacker:
         one frame per unfinished node: its key and optimum, its children
         still to come, the candidates so far and the walked child's path.
         """
-        rebuilt, strip, sink = self._rebuild_memo, self._strip, self.sink
-        counts = list(counts)
+        rebuilt, strip, search, sink = self._rebuild_memo, self._strip, self._search, self.sink
+        s = self.pack(counts)
         frames: list[list] = []
         while True:
-            if not strip(counts) or (total := self.value(counts)) == 0.0:
+            s = strip(s)
+            if not s or (total := search(s)) == 0.0:
                 packing = ()
             else:
-                key = bytes(counts)
-                packing = rebuilt.get(key)
+                packing = rebuilt.get(s)
                 if packing is None:
-                    frames.append([key, total, self._branch(counts), [], None])
+                    frames.append([s, total, self._branch(s, self._support(s)), [], None])
             while frames:
                 key, total, children, candidates, path = frame = frames[-1]
                 if packing is not None:  # None: this frame was just pushed
@@ -280,9 +332,9 @@ class PathPacker:
                         packing = tuple(sorted(packing + (path,)))
                     candidates.append(packing)
                 for gain, prefix, rest in children:
-                    if gain + self.value(rest) == total:
+                    if gain + search(rest) == total:
                         frame[4] = None if prefix is None else (*prefix, sink)
-                        counts = rest
+                        s = rest
                         break
                 else:
                     frames.pop()

@@ -279,6 +279,14 @@ def test_exact_nsfnet_is_pinned(nsfnet, threads):
     assert repr(exact_capacity(nsfnet, threads=threads).value) == "0.10133961805534757"
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_exact_multiplexed_tree_is_pinned(abilene_mux2, threads):
+    # the tree over chains of two-pair links, past the state budget: each
+    # decided chain rewrites its links' bytes in the packed state
+    value = exact_capacity(abilene_mux2, budget=None, threads=threads).value
+    assert repr(value) == "1.9824218130138982"
+
+
 def test_unit_gain_capacity_is_expected_max_flow():
     # with perfect swaps the expectation reduces to the mean number of
     # disjoint routes, checkable against the independent max-flow routine

@@ -575,17 +575,31 @@ def reference_strip(packer, counts):
     return True, counts
 
 
+def unpack(packer, s):
+    """The count list of the packed state s: byte i is the count of link i."""
+    return list(s.to_bytes(len(packer.links), "little"))
+
+
+def support(counts):
+    """The strip table's key for counts: bit 8i set where link i holds pairs."""
+    return int.from_bytes(bytes(1 if c else 0 for c in counts), "little")
+
+
+def strip(packer, counts):
+    """packer._strip on a count list, as reference_strip answers: (True,
+    the stripped counts), or (False, counts untouched) when the sink is cut."""
+    s = packer._strip(packer.pack(counts))
+    return (True, unpack(packer, s)) if s else (False, list(counts))
+
+
 def assert_strip_matches(packer, counts):
     """Strips counts twice against the reference: the first call is a
     table miss unless the support was seen before, the second a hit.
     Returns the support key."""
-    from qnetcap.solver import _SUPPORT
-
-    key = bytes(counts).translate(_SUPPORT)
+    key = support(counts)
     expected = reference_strip(packer, counts)
     for _ in range(2):
-        got = list(counts)
-        assert (packer._strip(got), got) == expected
+        assert strip(packer, counts) == expected
         assert key in packer.strips
     return key
 
@@ -698,27 +712,30 @@ def reference_branch(packer, counts):
 def assert_branch_matches(packer, counts):
     """Strips counts, unless the sink is cut off, and checks _branch child
     by child against reference_branch: gain, prefix (a tuple) and rest, with
-    counts unchanged after the last child. Returns the number of paths."""
-    counts = list(counts)
-    if not packer._strip(counts):
+    the packed state unchanged after the last child. Returns the number of
+    paths."""
+    ok, counts = strip(packer, counts)
+    if not ok:
         return 0
     expected = [
         (gain, None if prefix is None else tuple(prefix), rest)
         for gain, prefix, rest in reference_branch(packer, list(counts))
     ]
-    before = list(counts)
-    assert list(packer._branch(counts)) == expected
-    assert counts == before
+    s = packer.pack(counts)
+    children = packer._branch(s, support(counts))
+    assert [(gain, prefix, unpack(packer, rest)) for gain, prefix, rest in children] == expected
+    assert unpack(packer, s) == counts
     return len(expected) - 1
 
 
 def spine(packer, counts):
     """The stripped states a search of counts walks first: counts, then
     with its live source links dropped one by one, until the sink is cut."""
-    counts = list(counts)
-    while packer._strip(counts):
+    ok, counts = strip(packer, counts)
+    while ok:
         yield list(counts)
         counts[next(idx for idx, _ in packer.source_links if counts[idx])] = 0
+        ok, counts = strip(packer, counts)
 
 
 def drawn_states(t, n=300):
@@ -780,11 +797,163 @@ def test_route_table_holds_the_full_state_spine(name):
     for counts in spine(packer, t.capacities):
         first = next(idx for idx, _ in packer.source_links if counts[idx])
         expected[first] = sum(1 for _ in reference_branch(packer, counts)) - 1
-    stripped = list(t.capacities)
-    assert packer._strip(stripped)
+    ok, stripped = strip(packer, t.capacities)
+    assert ok
     assert set(expected) == {idx for idx, _ in packer.source_links if stripped[idx]}
     table = {first: len(routes) for first, routes in packer.routes.items()}
     assert table == expected
     for counts in drawn_states(t):
         packer.value(counts)
     assert {first: len(routes) for first, routes in packer.routes.items()} == table
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_packer_rejects_count_vectors_of_the_wrong_length(five_node, extra):
+    # a packed state would read a short vector's missing links as 0
+    from qnetcap.capacity import topology_packer
+
+    packer = topology_packer(five_node)
+    n = len(packer.links)
+    counts = list(five_node.capacities)
+    counts = counts + [1] if extra > 0 else counts[:-1]
+    message = f"count vector has {n + extra} entries, the packer has {n} links"
+    with pytest.raises(ValueError, match=message):
+        packer.value(counts)
+    with pytest.raises(ValueError, match=message):
+        packer.best_packing(counts)
+
+
+class ReferencePacker:
+    """State of the list-based search that packed states replaced: memo and
+    path-rebuild memo keyed by bytes(counts), and a strip table keyed by the
+    support bytes, filled from reference_strip."""
+
+    def __init__(self, packer):
+        self.packer = packer
+        self.memo = {}
+        self._rebuild_memo = {}
+        self.strips = {}
+        self.nodes_explored = 0
+
+    def _strip(self, counts):
+        key = bytes(1 if c else 0 for c in counts)
+        drop = self.strips.get(key)
+        if drop is None:
+            ok, stripped = reference_strip(self.packer, counts)
+            drop = self.strips[key] = ok and [i for i, c in enumerate(stripped) if c != counts[i]]
+        if drop is False:
+            return False
+        for idx in drop:
+            counts[idx] = 0
+        return True
+
+    def _branch(self, counts):
+        for gain, prefix, rest in reference_branch(self.packer, list(counts)):
+            yield gain, None if prefix is None else tuple(prefix), rest
+
+
+def reference_value(ref, counts):
+    """PathPacker.value as it was on count lists, less the MEMO_CAP clear,
+    which no test reaches."""
+    memo, strip = ref.memo, ref._strip
+    counts = list(counts)
+    frames = []
+    while True:
+        ref.nodes_explored += 1
+        if not strip(counts):
+            value = 0.0
+        else:
+            key = bytes(counts)
+            value = memo.get(key)
+            if value is None:
+                children = ref._branch(counts)
+                gain, _, counts = next(children)
+                frames.append([key, children, 0.0, gain])
+                continue
+        while frames:
+            key, children, best, gain = frame = frames[-1]
+            if gain + value > best:
+                frame[2] = gain + value
+            child = next(children, None)
+            if child is not None:
+                frame[3], _, counts = child
+                break
+            frames.pop()
+            value = memo[key] = frame[2]
+        else:
+            return value
+
+
+def reference_packing(ref, counts):
+    """PathPacker.best_packing as it was on count lists, with
+    reference_value for its optima."""
+    rebuilt, strip, sink = ref._rebuild_memo, ref._strip, ref.packer.sink
+    counts = list(counts)
+    frames = []
+    while True:
+        if not strip(counts) or (total := reference_value(ref, counts)) == 0.0:
+            packing = ()
+        else:
+            key = bytes(counts)
+            packing = rebuilt.get(key)
+            if packing is None:
+                frames.append([key, total, ref._branch(counts), [], None])
+        while frames:
+            key, total, children, candidates, path = frame = frames[-1]
+            if packing is not None:
+                if path is not None:
+                    packing = tuple(sorted(packing + (path,)))
+                candidates.append(packing)
+            for gain, prefix, rest in children:
+                if gain + reference_value(ref, rest) == total:
+                    frame[4] = None if prefix is None else (*prefix, sink)
+                    counts = rest
+                    break
+            else:
+                frames.pop()
+                packing = rebuilt[key] = min(candidates, key=lambda sol: (len(sol), sol))
+                continue
+            break
+        else:
+            return packing
+
+
+def assert_search_matches(t, states):
+    """Runs value then best_packing on each state, on one packer and one
+    reference, and checks value reprs, node counts, memo sizes and
+    packings after each; at the end, the memos entry by entry."""
+    from qnetcap.capacity import topology_packer
+
+    packer = topology_packer(t)
+    ref = ReferencePacker(packer)
+    for counts in states:
+        assert repr(packer.value(counts)) == repr(reference_value(ref, counts))
+        assert packer.nodes_explored == ref.nodes_explored
+        assert len(packer.memo) == len(ref.memo)
+        assert packer.best_packing(counts) == reference_packing(ref, counts)
+        assert packer.nodes_explored == ref.nodes_explored
+        assert len(packer._rebuild_memo) == len(ref._rebuild_memo)
+    assert packer.memo == {int.from_bytes(key, "little"): v for key, v in ref.memo.items()}
+    assert packer._rebuild_memo == {
+        int.from_bytes(key, "little"): v for key, v in ref._rebuild_memo.items()
+    }
+
+
+@pytest.mark.parametrize("name", datasets.DATASETS)
+def test_search_matches_list_reference_on_datasets(name):
+    t = datasets.load_dataset(name)
+    assert_search_matches(t, [list(t.capacities), *drawn_states(t)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_search_matches_list_reference_on_mux3_counts(data, abilene):
+    n = len(abilene.links)
+    assert_search_matches(abilene, [data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))])
+
+
+def test_search_matches_list_reference_on_deep_topologies():
+    topologies = [t for t, _ in deep_topologies()]
+    topologies += [two_deep_source_links(), three_deep_source_links()]
+    for t in topologies:
+        assert_search_matches(t, [list(t.capacities)])
