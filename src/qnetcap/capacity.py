@@ -20,7 +20,14 @@ variables are put at full capacity and the residual graph is stripped
 (PathPacker._strip): a cut-off sink makes the subtree worth 0, and the
 links the strip drops lie on no path in any completion, so their variables
 sum out. The tree branches on the undecided variable nearest the source,
-and a node with none left is a leaf, worth the packer's optimum.
+and a node with none left is a leaf, worth the packer's optimum, searched
+without a second strip.
+
+Which variable is nearest depends only on the settled node's support (the
+links that hold pairs), so the variables are ordered once per support, by
+a breadth-first search from the source, in a table that each job keeps
+beside its memo. A child that decides its variable at k > 0 pairs keeps
+the links of its parent: it takes the parent's order and is not stripped.
 
 Runs split their work into fixed jobs: chunks of states or samples, or the
 subtrees TREE_JOB_DEPTH levels below the root of the tree. Each job's
@@ -127,14 +134,18 @@ def _on_worker(fn, job):
 
 
 def _run_chunks(build, jobs: Sequence, fn, threads: int) -> Iterator:
-    """Yields fn(state, job) for each job in job order, state = build() once
-    per worker; more than one worker runs in a fork pool."""
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
+    """fn(state, job) for each job in job order, state = build() once per
+    worker; threads = 0 takes every core, and more than one worker runs in
+    a fork pool. A negative thread count is refused at once."""
+    if threads < 0:
+        raise ValueError(f"thread count must be >= 0, got {threads}")
+    workers = threads or os.cpu_count() or 1
     if workers <= 1 or len(jobs) <= 1:
-        state = build()
-        for job in jobs:
-            yield fn(state, job)
-        return
+        return map(partial(fn, build()), jobs)
+    return _pooled(build, jobs, fn, workers)
+
+
+def _pooled(build, jobs: Sequence, fn, workers: int) -> Iterator:
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers, initializer=_init_worker, initargs=(build,)) as pool:
         yield from pool.imap(partial(_on_worker, fn), jobs)
@@ -278,6 +289,13 @@ class _ChainTree:
     strip drops taken out of the mask. Deciding chain j at k pairs is
     (s & chain_clear[j]) + k * chain_ones[j]: chain_ones[j] has a 1 in the
     byte of each of j's links, and chain_clear[j] zeroes those bytes.
+
+    The chain a node branches on depends only on its settled support (the
+    links that hold pairs), so each support's chain order is found once:
+    (support, present, chains), where chains lists every chain the support
+    holds in the order a breadth-first search from the source first meets
+    it, and present is the bit mask of those chains. A walk keeps these in
+    a table of its own (orders), keyed on the support.
     """
 
     def __init__(self, t: Topology, packer: PathPacker):
@@ -290,110 +308,129 @@ class _ChainTree:
         for j, chain in enumerate(self.chains):
             for l in chain:
                 self.chain_of[l] = j
-        self.chain_firsts = [0xFF << 8 * chain[0] for chain in self.chains]
         self.chain_ones = [sum(1 << 8 * l for l in chain) for chain in self.chains]
         full = packer.ones * 0xFF
         self.chain_clear = [full ^ ones * 0xFF for ones in self.chain_ones]
         self.open_shift = 8 * len(t.links)  # interior memo keys: open mask above the state
 
-    def _settle(self, s: int, open_: int, kept: bool) -> Optional[tuple[int, int, int]]:
-        """Strips the node; None if the sink is cut off, else the settled
-        state, the open mask left and the open chain to branch on, -1 at a
-        leaf. The chain is the first open one met by a breadth-first search
-        from the source.
-
-        kept: the node holds pairs on the same links as its settled parent
-        (only counts changed), so stripping would change nothing.
-        """
+    def _order(self, s: int, orders: dict) -> tuple[int, int, tuple[int, ...]]:
+        """The chain order of the settled state s, from orders or, on a
+        miss, from one breadth-first search from the source, stored there."""
         packer = self.packer
-        live = open_
-        if not kept:
-            s = packer._strip(s)
-            if not s:
-                return None
-            firsts, rest = self.chain_firsts, open_
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if not s & firsts[bit.bit_length() - 1]:
-                    live ^= bit
-        if not live:
-            return s, live, -1
+        x = packer._support(s)
+        order = orders.get(x)
+        if order is not None:
+            return order
         adj, chain_of = packer.adj, self.chain_of
         counts = s.to_bytes(len(chain_of), "little")
         seen = bytearray(packer.num_nodes)
         seen[packer.source] = 1
         queue = [packer.source]
+        present = 0
+        chains = []
         for u in queue:
             for idx, w in adj[u]:
                 if counts[idx]:
                     j = chain_of[idx]
-                    if live >> j & 1:
-                        return s, live, j
+                    if not present >> j & 1:
+                        present |= 1 << j
+                        chains.append(j)
                     if not seen[w]:
                         seen[w] = 1
                         queue.append(w)
-        raise AssertionError("an open chain outlived the strip")
+        order = orders[x] = (x, present, tuple(chains))
+        return order
 
-    def _children(self, s: int, live: int, j: int) -> Iterator:
-        """(probability, state, open mask, kept) of each child with chain
+    def _settle(
+        self, s: int, open_: int, order: Optional[tuple], orders: dict
+    ) -> Optional[tuple]:
+        """Settles a node; None if the sink is cut off, else the settled
+        state, the open mask left, the open chain to branch on (-1 at a
+        leaf) and the state's chain order. The chain is the first open one
+        in that order.
+
+        order: the chain order of the node's settled parent when the node
+        holds pairs on the same links (only counts changed), so it is
+        settled already; None when it must be stripped.
+        """
+        if order is None:
+            s = self.packer._strip(s)
+            if not s:
+                return None
+            order = self._order(s, orders)
+            open_ &= order[1]
+        if open_:
+            for j in order[2]:
+                if open_ >> j & 1:
+                    return s, open_, j, order
+        return s, open_, -1, order
+
+    def _children(self, s: int, live: int, j: int, order: tuple) -> Iterator:
+        """(probability, state, open mask, order) of each child with chain
         j decided, in count order; children of probability 0 are left out.
-        A child with pairs on j keeps the links of its parent (see _settle)."""
+        A child with pairs on j keeps the links of its parent, so it takes
+        the parent's chain order; the one without gets None (see _settle)."""
         base, ones, rest = s & self.chain_clear[j], self.chain_ones[j], live & ~(1 << j)
         for k, prob in enumerate(self.pmfs[j]):
             if prob:
-                yield prob, base + k * ones, rest, k > 0
+                yield prob, base + k * ones, rest, order if k else None
 
     def prefixes(self, depth: int) -> list[tuple[float, Optional[tuple]]]:
         """(mass, node) of the tree's nodes `depth` levels down and of its
         shallower leaves and cut-off nodes, depth first; node is None where
         the sink is cut off, else the settled (state, open mask)."""
         out = []
-        stack = [(1.0, self.full, (1 << len(self.chains)) - 1, False, 0)]
+        orders: dict[int, tuple] = {}
+        stack = [(1.0, self.full, (1 << len(self.chains)) - 1, None, 0)]
         while stack:
-            mass, s, open_, kept, level = stack.pop()
-            settled = self._settle(s, open_, kept)
+            mass, s, open_, order, level = stack.pop()
+            settled = self._settle(s, open_, order, orders)
             if settled is None:
                 out.append((mass, None))
                 continue
-            s, live, j = settled
+            s, live, j, order = settled
             if j < 0 or level == depth:
                 out.append((mass, (s, live)))
                 continue
-            children = list(self._children(s, live, j))
-            for prob, child, rest, kept in reversed(children):
-                stack.append((mass * prob, child, rest, kept, level + 1))
+            children = list(self._children(s, live, j, order))
+            for prob, child, rest, order in reversed(children):
+                stack.append((mass * prob, child, rest, order, level + 1))
         return out
 
     def expected(self, s: int, open_: int) -> float:
-        """Expected leaf value below one node, over its open chains.
+        """Expected leaf value below one settled node, over its open chains.
 
         The walk keeps one frame per interior node on the way down: its
         memo key, its children still to come, their weighted values so far
         and the probability of the child being walked. Interior nodes are
         memoized on the settled state with the open mask above its bytes.
+        The chain orders (see the class docstring) live in a table beside
+        the memo, for this walk only. A leaf is settled, so the packer
+        searches it without stripping it again.
         """
         packer, shift = self.packer, self.open_shift
         memo: dict[int, float] = {}
+        orders: dict[int, tuple] = {}
         frames: list[list] = []
-        kept = True  # a job's node comes settled
+        order = self._order(s, orders)
         while True:
-            settled = self._settle(s, open_, kept)
+            settled = self._settle(s, open_, order, orders)
             if settled is None:
                 value = 0.0
             elif settled[2] < 0:
-                # a settled state is stripped, as the packer keys its memo
-                s = settled[0]
+                # a settled state is stripped, as the packer keys its memo,
+                # and its support heads its chain order
+                s, _, _, order = settled
                 value = packer.memo.get(s)
                 if value is None:
-                    value = packer._search(s)
+                    value = packer._search(s, order[0])
             else:
-                s, live, j = settled
+                s, live, j, order = settled
                 key = live << shift | s
                 value = memo.get(key)
                 if value is None:
-                    children = self._children(s, live, j)
-                    prob, s, open_, kept = next(children)
+                    children = self._children(s, live, j, order)
+                    prob, s, open_, order = next(children)
                     frames.append([key, children, [], prob])
                     continue
             while frames:
@@ -401,7 +438,7 @@ class _ChainTree:
                 terms.append(prob * value)
                 child = next(children, None)
                 if child is not None:
-                    frame[3], s, open_, kept = child
+                    frame[3], s, open_, order = child
                     break
                 frames.pop()
                 value = memo[key] = math.fsum(terms)

@@ -22,13 +22,15 @@ byte mask has a 1 in the byte of each of its links, so routing the path
 is one subtraction, which never borrows where every link holds a pair,
 and dropping a link is one AND.
 
-Every search node is first stripped: links on no source-sink path are
-zeroed, and a cut-off sink ends the node. What the strip drops depends only
-on the support, the set of links that hold pairs, not on how many they
-hold. The support is folded out of the state with three shifts (bit 8i is
-set when link i holds pairs), and each packer keeps a keep mask per support
-in a strip table of at most STRIP_CAP supports, computing the strip only
-on a miss. The memo is keyed on the stripped state itself.
+Every search node is first stripped (a root that comes stripped, as a leaf
+of the capacity engine's conditioning tree does, skips it): links on no
+source-sink path are zeroed, and a cut-off sink ends the node. What the
+strip drops depends only on the support, the set of links that hold pairs,
+not on how many they hold. The support is folded out of the state with
+three shifts (bit 8i is set when link i holds pairs), and each packer
+keeps a keep mask per support in a strip table of at most STRIP_CAP
+supports, computing the strip only on a miss. The memo is keyed on the
+stripped state itself.
 """
 
 from __future__ import annotations
@@ -257,16 +259,23 @@ class PathPacker:
         """Optimal total delivered flow for the given per-link pair counts."""
         return self._search(self.pack(counts))
 
-    def _search(self, s: int) -> float:
+    def _search(self, s: int, support: int = 0) -> float:
         """Optimal total delivered flow of the packed state s.
 
         The walk keeps one frame per unfinished search node on the way down:
         its memo key, its children still to come, the best value so far and
-        the gain of the child being walked.
+        the gain of the child being walked. Given its support, s is taken
+        as stripped and absent from the memo (a leaf of the conditioning
+        tree), so the root is branched on at once.
         """
         memo, strips, ones = self.memo, self.strips, self.ones
         frames: list[list] = []
         nodes = 0
+        if support:
+            nodes = 1
+            children = self._branch(s, support)
+            frames.append([s, children, 0.0, 0.0])
+            s = next(children)[2]
         while True:
             nodes += 1
             # _support and _strip, inline: this loop runs once per search node

@@ -1,6 +1,7 @@
 """Capacity aggregation: exact, truncated, sampled; determinism; CSV."""
 
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -17,8 +18,10 @@ from qnetcap.capacity import (
     exact_capacity,
     full_state_capacity,
     sampled_capacity,
+    topology_packer,
     truncated_capacity,
 )
+from qnetcap.montecarlo import SimConfig, simulate_local_knowledge
 from qnetcap.snapshot import num_states
 
 
@@ -347,12 +350,19 @@ def test_tree_matches_enumerator_on_datasets(name):
     assert tree.states_evaluated == oracle.states_evaluated == num_states(t)
 
 
-def test_tree_matches_enumerator_on_random_networks(monkeypatch):
+def random_mux_networks():
+    """60 small multiplexed networks with a p drawn per link."""
     from conftest import random_instance
 
     rng = np.random.default_rng(20261018)
-    for _ in range(60):
-        t, _ = random_instance(rng, max_internal=5, max_edges=10, mux=True, vary_p=True)
+    return [
+        random_instance(rng, max_internal=5, max_edges=10, mux=True, vary_p=True)[0]
+        for _ in range(60)
+    ]
+
+
+def test_tree_matches_enumerator_on_random_networks(monkeypatch):
+    for t in random_mux_networks():
         oracle = enumerated(t).value
         # the default jobs, then the whole tree as one job under one memo
         for depth in (capacity.TREE_JOB_DEPTH, 0):
@@ -393,14 +403,25 @@ def test_exact_multiplexed_chain_is_expected_minimum():
     assert exact_capacity(t, threads=1).value == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("depth", [0, capacity.TREE_JOB_DEPTH])
-def test_exact_parallel_routes_at_count_255(depth, monkeypatch):
-    # s-t beside the chain s-a-t, every link at c = 255, the largest count;
-    # depth 0 runs the whole tree as one job, under one memo
-    monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
+def parallel_routes_at_255():
+    """s-t beside the chain s-a-t, every link at c = 255, the largest count."""
     caps = {("s", "t"): 255, ("s", "a"): 255, ("a", "t"): 255}
     p = {("s", "t"): 0.3, ("s", "a"): 0.6, ("a", "t"): 0.45}
-    t = make_topology({"a": 0.7}, list(caps), p=p, caps=caps)
+    return make_topology({"a": 0.7}, list(caps), p=p, caps=caps)
+
+
+def shared_link_at_255(qa=0.9, qb=0.3):
+    """Routes s-b-t (gain qb) and s-a-b-t (qa * qb) share b-t, at c = 255;
+    a-d is a dead end."""
+    p = {("s", "a"): 0.8, ("a", "b"): 0.6, ("s", "b"): 0.4, ("b", "t"): 0.05, ("a", "d"): 0.5}
+    return make_topology({"a": qa, "b": qb, "d": 0.5}, list(p), p=p, caps={("b", "t"): 255})
+
+
+@pytest.mark.parametrize("depth", [0, capacity.TREE_JOB_DEPTH])
+def test_exact_parallel_routes_at_count_255(depth, monkeypatch):
+    # depth 0 runs the whole tree as one job, under one memo
+    monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
+    t = parallel_routes_at_255()
     assert capacity.series_chains(t) == [(0, 1), (2,)]
     expected = 255 * 0.3 + 0.7 * math.fsum(
         tail(255, 0.6, k) * tail(255, 0.45, k) for k in range(1, 256)
@@ -411,20 +432,38 @@ def test_exact_parallel_routes_at_count_255(depth, monkeypatch):
 
 @pytest.mark.parametrize("depth", [0, capacity.TREE_JOB_DEPTH])
 def test_exact_decided_full_count_is_not_undecided(depth, monkeypatch):
-    # routes s-b-t (gain qb) and s-a-b-t (qa * qb) share b-t, at c = 255;
-    # a-d is a dead end. As one job, the tree meets s-b decided at its full
-    # count of 1 and s-b undecided with the same counts, so a memo key
-    # without the undecided chains would confuse the two
+    # as one job, the tree meets s-b decided at its full count of 1 and s-b
+    # undecided with the same counts, so a memo key without the undecided
+    # chains would confuse the two
     monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
     qa, qb = 0.9, 0.3
-    p = {("s", "a"): 0.8, ("a", "b"): 0.6, ("s", "b"): 0.4, ("b", "t"): 0.05, ("a", "d"): 0.5}
-    t = make_topology({"a": qa, "b": qb, "d": 0.5}, list(p), p=p, caps={("b", "t"): 255})
+    t = shared_link_at_255(qa, qb)
     route_a, route_b = 0.8 * 0.6, 0.4
     x1, x2 = tail(255, 0.05, 1), tail(255, 0.05, 2)
     # s-b-t takes the first pair of b-t; s-a-b-t the next one
     expected = qb * route_b * x1 + qa * qb * route_a * (route_b * x2 + (1 - route_b) * x1)
     report = exact_capacity(t, threads=1, budget=None)
     assert report.value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.nightly
+def test_exact_abilene_mux3_is_pinned(abilene):
+    # c = 3 on every link: 4^14 = 2.7e8 states, past the default budget
+    links = tuple(dataclasses.replace(link, c=3) for link in abilene.links)
+    t = dataclasses.replace(abilene, links=links)
+    assert num_states(t) == 4**14
+    assert exact_capacity(t, threads=2, budget=None).value == 3.1875812178752434
+
+
+def test_negative_thread_counts_are_refused(five_node):
+    calls = [
+        lambda: exact_capacity(five_node, threads=-2),
+        lambda: sampled_capacity(five_node, 100, threads=-2),
+        lambda: simulate_local_knowledge(five_node, SimConfig(samples=100), threads=-2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="thread count must be >= 0, got -2"):
+            call()
 
 
 def test_series_chains_follow_degree_two_nodes():
@@ -436,3 +475,152 @@ def test_series_chains_follow_degree_two_nodes():
     t = make_topology({n: 0.9 for n in "abcd"}, pairs)
     chains = [[t.link_ids[l] for l in chain] for chain in capacity.series_chains(t)]
     assert chains == [["a-b", "s-a"], ["b-c", "d-b", "c-d"], ["b-t"], ["s-t"]]
+
+
+class BfsTree(capacity._ChainTree):
+    """Reference conditioning tree: a breadth-first search from the source
+    at every node for the chain to branch on, and a kept flag for the
+    children that hold pairs on the links of their parent."""
+
+    def __init__(self, t, packer):
+        super().__init__(t, packer)
+        self.chain_firsts = [0xFF << 8 * chain[0] for chain in self.chains]
+
+    def _settle(self, s, open_, kept):
+        packer = self.packer
+        live = open_
+        if not kept:
+            s = packer._strip(s)
+            if not s:
+                return None
+            firsts, rest = self.chain_firsts, open_
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if not s & firsts[bit.bit_length() - 1]:
+                    live ^= bit
+        if not live:
+            return s, live, -1
+        adj, chain_of = packer.adj, self.chain_of
+        counts = s.to_bytes(len(chain_of), "little")
+        seen = bytearray(packer.num_nodes)
+        seen[packer.source] = 1
+        queue = [packer.source]
+        for u in queue:
+            for idx, w in adj[u]:
+                if counts[idx]:
+                    j = chain_of[idx]
+                    if live >> j & 1:
+                        return s, live, j
+                    if not seen[w]:
+                        seen[w] = 1
+                        queue.append(w)
+        raise AssertionError("an open chain outlived the strip")
+
+    def _children(self, s, live, j):
+        base, ones, rest = s & self.chain_clear[j], self.chain_ones[j], live & ~(1 << j)
+        for k, prob in enumerate(self.pmfs[j]):
+            if prob:
+                yield prob, base + k * ones, rest, k > 0
+
+    def prefixes(self, depth):
+        out = []
+        stack = [(1.0, self.full, (1 << len(self.chains)) - 1, False, 0)]
+        while stack:
+            mass, s, open_, kept, level = stack.pop()
+            settled = self._settle(s, open_, kept)
+            if settled is None:
+                out.append((mass, None))
+                continue
+            s, live, j = settled
+            if j < 0 or level == depth:
+                out.append((mass, (s, live)))
+                continue
+            children = list(self._children(s, live, j))
+            for prob, child, rest, kept in reversed(children):
+                stack.append((mass * prob, child, rest, kept, level + 1))
+        return out
+
+    def expected(self, s, open_):
+        packer, shift = self.packer, self.open_shift
+        memo = {}
+        frames = []
+        kept = True
+        while True:
+            settled = self._settle(s, open_, kept)
+            if settled is None:
+                value = 0.0
+            elif settled[2] < 0:
+                s = settled[0]
+                value = packer.memo.get(s)
+                if value is None:
+                    value = packer._search(s)
+            else:
+                s, live, j = settled
+                key = live << shift | s
+                value = memo.get(key)
+                if value is None:
+                    children = self._children(s, live, j)
+                    prob, s, open_, kept = next(children)
+                    frames.append([key, children, [], prob])
+                    continue
+            while frames:
+                key, children, terms, prob = frame = frames[-1]
+                terms.append(prob * value)
+                child = next(children, None)
+                if child is not None:
+                    frame[3], s, open_, kept = child
+                    break
+                frames.pop()
+                value = memo[key] = math.fsum(terms)
+            else:
+                return value
+
+
+def traced_exact(t, tree_cls, monkeypatch):
+    """exact_capacity of t on one worker with tree_cls as the tree: the
+    report, the packer's search node count and memo size, and the settled
+    (state, open mask, branch chain) of every tree node in visit order."""
+    packers, settles = [], []
+    settle = tree_cls._settle
+
+    def recording(self, *args):
+        settled = settle(self, *args)
+        settles.append(None if settled is None else settled[:3])
+        return settled
+
+    def packer_of(t):
+        packers.append(topology_packer(t))
+        return packers[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(capacity, "_ChainTree", tree_cls)
+        m.setattr(tree_cls, "_settle", recording)
+        m.setattr(capacity, "topology_packer", packer_of)
+        report = exact_capacity(t, threads=1, budget=None)
+    (packer,) = packers
+    return report, packer.nodes_explored, len(packer.memo), settles
+
+
+def assert_tree_matches_bfs_tree(t, monkeypatch):
+    # the whole tree as one job under one table and memo, then the default jobs
+    for depth in (0, capacity.TREE_JOB_DEPTH):
+        monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
+        ref = traced_exact(t, BfsTree, monkeypatch)
+        new = traced_exact(t, capacity._ChainTree, monkeypatch)
+        assert new[0] == ref[0]  # value and every other report field, with ==
+        assert new[1:3] == ref[1:3]
+        assert new[3] == ref[3]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["five_node", "abilene", "abilene_mux2", pytest.param("nsfnet", marks=pytest.mark.slow)],
+)
+def test_tree_matches_bfs_tree_on_datasets(name, monkeypatch):
+    assert_tree_matches_bfs_tree(datasets.load_dataset(name), monkeypatch)
+
+
+def test_tree_matches_bfs_tree_on_random_and_count_255_networks(monkeypatch):
+    for t in [*random_mux_networks(), parallel_routes_at_255(), shared_link_at_255()]:
+        assert_tree_matches_bfs_tree(t, monkeypatch)

@@ -68,6 +68,12 @@ def test_capacity_budget_guard(capsys):
     assert "truncated_capacity or sampled_capacity" in err
 
 
+def test_capacity_rejects_negative_thread_count(capsys):
+    code, _, err = run(capsys, "capacity", "--topology", "five_node", "--threads", "-1")
+    assert code == 1
+    assert "thread count must be >= 0, got -1" in err
+
+
 def test_capacity_report_file_and_reproducibility(tmp_path, capsys):
     out1 = tmp_path / "a.yaml"
     out2 = tmp_path / "b.yaml"
