@@ -313,14 +313,14 @@ class _ChainTree:
         self.chain_clear = [full ^ ones * 0xFF for ones in self.chain_ones]
         self.open_shift = 8 * len(t.links)  # interior memo keys: open mask above the state
 
-    def _order(self, s: int, orders: dict) -> tuple[int, int, tuple[int, ...]]:
-        """The chain order of the settled state s, from orders or, on a
-        miss, from one breadth-first search from the source, stored there."""
-        packer = self.packer
-        x = packer._support(s)
+    def _order(self, s: int, x: int, orders: dict) -> tuple[int, int, tuple[int, ...]]:
+        """The chain order of the settled state s with support x, from
+        orders or, on a miss, from one breadth-first search from the source,
+        stored there."""
         order = orders.get(x)
         if order is not None:
             return order
+        packer = self.packer
         adj, chain_of = packer.adj, self.chain_of
         counts = s.to_bytes(len(chain_of), "little")
         seen = bytearray(packer.num_nodes)
@@ -354,10 +354,17 @@ class _ChainTree:
         settled already; None when it must be stripped.
         """
         if order is None:
-            s = self.packer._strip(s)
-            if not s:
+            # PathPacker._strip, keeping the support it folds: the settled
+            # support is the raw one less the links the strip drops
+            packer = self.packer
+            x = packer._support(s)
+            keep = packer.strips.get(x)
+            if keep is None:
+                keep = packer._support_strip(x)
+            if not keep:
                 return None
-            order = self._order(s, orders)
+            s &= keep
+            order = self._order(s, x & keep, orders)
             open_ &= order[1]
         if open_:
             for j in order[2]:
@@ -412,7 +419,7 @@ class _ChainTree:
         memo: dict[int, float] = {}
         orders: dict[int, tuple] = {}
         frames: list[list] = []
-        order = self._order(s, orders)
+        order = self._order(s, packer._support(s), orders)
         while True:
             settled = self._settle(s, open_, order, orders)
             if settled is None:
@@ -508,30 +515,36 @@ def truncated_capacity(t: Topology, k: int) -> CapacityReport:
     pmfs = link_pmfs(t)
     bases = state_bases(t)
     n_links = len(bases)
-    # per-link counts ranked by decreasing probability (ties: lower count)
+    # per-link counts ranked by decreasing probability (ties: lower count),
+    # the probability of each rank, and the step in the state index from
+    # each rank to the next (encode_index: the last link varies fastest)
     ranked = [
         sorted(range(bases[l]), key=lambda c: (-pmfs[l][c], c)) for l in range(n_links)
     ]
+    rank_pmf = [[pmfs[l][c] for c in ranked[l]] for l in range(n_links)]
+    weight = math.prod(bases)
+    steps = []
+    for l in range(n_links):
+        weight //= bases[l]
+        steps.append([(b - a) * weight for a, b in zip(ranked[l], ranked[l][1:])])
 
     def state_of(rank_vec: tuple[int, ...]) -> list[int]:
         return [ranked[l][r] for l, r in enumerate(rank_vec)]
 
-    def entry(rank_vec: tuple[int, ...], min_l: int) -> tuple:
-        vec = state_of(rank_vec)
-        prob = math.prod(pmf[c] for pmf, c in zip(pmfs, vec))
-        return (-prob, encode_index(bases, vec), rank_vec, min_l)
-
-    heap = [entry((0,) * n_links, 0)]
+    root = (0,) * n_links
+    heap = [(-math.prod([p[0] for p in rank_pmf]), encode_index(bases, state_of(root)), root, 0)]
     terms: list[float] = []
     probs: list[float] = []
     while heap and len(probs) < k:
-        neg_prob, _, rank_vec, min_l = heapq.heappop(heap)
+        neg_prob, index, rank_vec, min_l = heapq.heappop(heap)
         terms.append(-neg_prob * packer.value(state_of(rank_vec)))
         probs.append(-neg_prob)
         for l in range(min_l, n_links):
-            if rank_vec[l] + 1 < bases[l]:
-                child = rank_vec[:l] + (rank_vec[l] + 1,) + rank_vec[l + 1 :]
-                heapq.heappush(heap, entry(child, l))
+            r = rank_vec[l]
+            if r + 1 < bases[l]:
+                child = rank_vec[:l] + (r + 1,) + rank_vec[l + 1 :]
+                prob = math.prod([rank_pmf[i][c] for i, c in enumerate(child)])
+                heapq.heappush(heap, (-prob, index + steps[l][r], child, l))
     lower = math.fsum(terms)
     covered = math.fsum(probs)
     upper = lower + max(0.0, 1.0 - covered) * full_cap

@@ -209,7 +209,18 @@ def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
 
 def _trial_chunk(plan: _SimPlan, job: tuple[int, int, bool]):
     start, stop, want_rows = job
-    delivered = [_run_trial(plan, _substream(plan.seed, i)) for i in range(start, stop)]
+    # one generator for the chunk: before trial i its Philox is put back in
+    # the state _substream(seed, i) starts in, with the key's word 0 set to
+    # i mod 2**64 (word 1 holds the seed), a zero counter and an empty buffer
+    gen = _substream(plan.seed, start)
+    bits = gen.bit_generator
+    fresh = bits.state
+    key = fresh["state"]["key"]
+    delivered = []
+    for i in range(start, stop):
+        key[0] = i & 0xFFFFFFFFFFFFFFFF
+        bits.state = fresh
+        delivered.append(_run_trial(plan, gen))
     rows = None
     if want_rows:
         rows = "".join(f"{i},{x}\n" for i, x in enumerate(delivered, start))

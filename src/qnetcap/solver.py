@@ -8,12 +8,21 @@ solve_snapshot folds each relay (a unit-gain node on two links, such as a
 splitter of to_unit_capacity) back into a pair between its neighbours, so
 a state is searched on the same graph as in the capacity engine. One
 branch generator, PathPacker._branch, takes the first live source link and
-yields the child that drops it, then one child per simple path routed over
-it, read from the packer's route table of that link's paths. The optimum
-(value) and an optimal packing (best_packing) both loop over its children,
-so they walk the same branches in the same order, each on an explicit
-stack of frames. Optima of pruned residual networks are memoized, so that
-repeated sub-networks (ubiquitous during state enumeration) are solved once.
+yields one child per simple path routed over it, read from the packer's
+route table of that link's paths, best gain first, then the child that
+drops the link. The optimum (value) and an optimal packing (best_packing)
+both loop over its children, so they walk the same branches in the same
+order, each on an explicit stack of frames. Optima of pruned residual
+networks are memoized, so that repeated sub-networks (ubiquitous during
+state enumeration) are solved once.
+
+The search is a branch and bound: a child that misses the memo is skipped
+when its gain plus an upper bound on its optimum (PathPacker._bound, times
+SLACK for rounding) cannot beat the best child of its parent so far. A
+node's optimum is the max over its children, which does not depend on
+their order, and a skipped child cannot raise it, so every optimum is the
+exhaustive search's, to the bit. Skipped children are not memoized, so the
+memo holds exact optima only.
 
 A search state is one int, the packed state: byte i holds the pair count
 of link i, which MAX_LINK_PAIRS keeps within a byte. value and
@@ -39,6 +48,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .flowcheck import FlowAssignment
@@ -47,6 +57,7 @@ from .snapshot import DirectedSnapshot
 
 MEMO_CAP = 4_000_000  # entries per packer; cleared wholesale when exceeded
 STRIP_CAP = 1 << 13  # supports per packer strip table; later misses are not stored
+SLACK = 1 + 1e-9  # factor on PathPacker._bound: covers optima a few ulp above it
 
 
 class PathPacker:
@@ -70,9 +81,11 @@ class PathPacker:
     _rebuild_memo for best_packing) is keyed on the stripped state.
 
     The route table (routes) holds each source link's paths on the full
-    graph (_routes). It has no cap: a search of the full state, which
-    solve_snapshot and every capacity mode make, walks all of them on its
-    spine of states that drop the source links one by one.
+    graph (_routes), best gain first; the first one's gain is the link's
+    lead, which _bound reads. It has no cap: a search of the full state,
+    which solve_snapshot and every capacity mode make, walks all of them on
+    its spine of states that drop the source links one by one, unless the
+    bound skips a part of that spine.
     """
 
     def __init__(
@@ -206,28 +219,29 @@ class PathPacker:
         """Yields (gain, prefix, rest) once per child of a stripped state s
         with the given support.
 
-        The first live source link e is branched on. The first child drops
-        e (gain 0.0, prefix None). The others route one more path over e,
-        one per route of e (see _routes) whose links all hold pairs: gain
+        The first live source link e is branched on. The first children
+        route one more path over e, one per route of e (see _routes) whose
+        links all hold pairs, in the table's order, best gain first: gain
         is the path's delivered flow, prefix the tuple of its nodes before
         the sink, and rest the state left by the path, s less the path's
-        mask.
+        mask. The last child drops e (gain 0.0, prefix None).
         """
         for bit, clear, first in self._firsts:
             if support & bit:
                 break
-        yield 0.0, None, s & clear
         routes = self.routes.get(first[0])
         if routes is None:
             routes = self.routes[first[0]] = self._routes(first)
         for mask, gain, prefix in routes:
             if mask & support == mask:
                 yield gain, prefix, s - mask
+        yield 0.0, None, s & clear
 
     def _routes(self, first: tuple[int, int]) -> list[tuple]:
         """Simple source-sink paths over the source's adjacency entry first
-        on the full graph, depth first in adjacency order, as (mask, gain,
-        prefix): mask has a 1 in the byte of each link on the path.
+        on the full graph, as (mask, gain, prefix): mask has a 1 in the
+        byte of each link on the path. They are sorted by gain, descending;
+        paths of equal gain keep their depth-first order (adjacency order).
         """
         adj, gains, sink = self.adj, self.gains, self.sink
         routes = []
@@ -251,9 +265,41 @@ class PathPacker:
                     break
             else:
                 if not stack:
+                    routes.sort(key=itemgetter(1), reverse=True)  # stable: ties stay depth first
                     return routes
                 visited[prefix.pop()] = 0
                 gain, _, untried = stack.pop()
+
+    def _bound(self, s: int) -> float:
+        """An upper bound on the optimum of the stripped state s.
+
+        Each path leaves over one source link and enters over one sink
+        link, and delivers at most the lead of its source link: the gain of
+        the link's first route, the best (see _routes), or 0 if it has none.
+        So the optimum is at most the sum over live source links of count
+        times lead, and at most the sink links' total count times the
+        largest lead of a live source link; the bound is the lesser.
+        Rounding can put a computed optimum a few ulp above it, which
+        SLACK covers.
+        """
+        counts = s.to_bytes(len(self.links), "little")
+        routes = self.routes
+        ahead = top = 0.0
+        for first in self.source_links:
+            count = counts[first[0]]
+            if count:
+                table = routes.get(first[0])
+                if table is None:
+                    table = routes[first[0]] = self._routes(first)
+                if table:
+                    lead = table[0][1]
+                    ahead += count * lead
+                    if lead > top:
+                        top = lead
+        sinks = 0
+        for idx, _ in self.adj[self.sink]:
+            sinks += counts[idx]
+        return min(ahead, sinks * top)
 
     def value(self, counts: Sequence[int]) -> float:
         """Optimal total delivered flow for the given per-link pair counts."""
@@ -264,18 +310,21 @@ class PathPacker:
 
         The walk keeps one frame per unfinished search node on the way down:
         its memo key, its children still to come, the best value so far and
-        the gain of the child being walked. Given its support, s is taken
-        as stripped and absent from the memo (a leaf of the conditioning
-        tree), so the root is branched on at once.
+        the gain of the child being walked. A child that misses the memo
+        once its parent's best is above 0 is skipped, and counted as a node,
+        when its gain plus its _bound times SLACK is at most that best.
+        Given its support, s is taken as stripped and absent from the memo
+        (a leaf of the conditioning tree), so the root is branched on at
+        once.
         """
-        memo, strips, ones = self.memo, self.strips, self.ones
+        memo, strips, ones, bound = self.memo, self.strips, self.ones, self._bound
         frames: list[list] = []
         nodes = 0
         if support:
             nodes = 1
             children = self._branch(s, support)
-            frames.append([s, children, 0.0, 0.0])
-            s = next(children)[2]
+            frames.append(frame := [s, children, 0.0, 0.0])
+            frame[3], _, s = next(children)
         while True:
             nodes += 1
             # _support and _strip, inline: this loop runs once per search node
@@ -290,10 +339,18 @@ class PathPacker:
                 s &= keep
                 value = memo.get(s)
                 if value is None:
-                    children = self._branch(s, x & keep)
-                    frames.append([s, children, 0.0, 0.0])
-                    s = next(children)[2]
-                    continue
+                    # skip a child that cannot beat its parent's best; it is
+                    # not memoized, and value 0.0 leaves that best as it is
+                    if not (
+                        frames
+                        and (frame := frames[-1])[2] > 0.0
+                        and frame[3] + bound(s) * SLACK <= frame[2]
+                    ):
+                        children = self._branch(s, x & keep)
+                        frames.append(frame := [s, children, 0.0, 0.0])
+                        frame[3], _, s = next(children)
+                        continue
+                    value = 0.0
             else:
                 value = 0.0
             while frames:
@@ -322,8 +379,12 @@ class PathPacker:
         The walk descends only into children that reach the optimum, with
         one frame per unfinished node: its key and optimum, its children
         still to come, the candidates so far and the walked child's path.
+        A child's optimum is read from the memo; a child the search skipped
+        is searched only if its gain plus its _bound times SLACK reaches the
+        node's optimum, since a tie is a candidate.
         """
         rebuilt, strip, search, sink = self._rebuild_memo, self._strip, self._search, self.sink
+        memo, bound = self.memo, self._bound
         s = self.pack(counts)
         frames: list[list] = []
         while True:
@@ -341,7 +402,17 @@ class PathPacker:
                         packing = tuple(sorted(packing + (path,)))
                     candidates.append(packing)
                 for gain, prefix, rest in children:
-                    if gain + search(rest) == total:
+                    rest = strip(rest)
+                    if not rest:
+                        value = 0.0
+                    else:
+                        value = memo.get(rest)
+                        if value is None:
+                            # skipped by the search; a tie may still be a candidate
+                            if gain + bound(rest) * SLACK < total:
+                                continue
+                            value = search(rest)
+                    if gain + value == total:
                         frame[4] = None if prefix is None else (*prefix, sink)
                         s = rest
                         break

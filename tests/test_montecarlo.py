@@ -9,7 +9,7 @@ import numpy as np
 
 from conftest import make_topology, random_instance
 from qnetcap import montecarlo
-from qnetcap.capacity import _substream, exact_capacity
+from qnetcap.capacity import _moments, _substream, exact_capacity
 from qnetcap.datasets import DATASETS, load_dataset
 from qnetcap.montecarlo import (
     TRIAL_CHUNK,
@@ -17,6 +17,7 @@ from qnetcap.montecarlo import (
     _pair_cost,
     _run_trial,
     _SimPlan,
+    _trial_chunk,
     hop_distances,
     simulate_local_knowledge,
 )
@@ -258,3 +259,16 @@ def test_trials_match_when_the_swap_table_clears(monkeypatch):
     monkeypatch.setattr(montecarlo, "_RAW_CACHE_CAP", 2)
     plan = assert_trials_match(load_dataset("abilene_mux2"), 256)
     assert len(plan.local) <= 2
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, -1])
+def test_chunk_rekeys_one_generator_as_the_per_trial_substreams(seed):
+    # a chunk reuses one generator, put back before trial i in the state of
+    # a fresh _substream(seed, i); rows and moments are those of the loop
+    # that builds a generator per trial
+    plan = _SimPlan(load_dataset("abilene_mux2"), seed)
+    for start, stop in [(0, 300), (TRIAL_CHUNK, TRIAL_CHUNK + 300)]:
+        delivered = [_run_trial(plan, _substream(seed, i)) for i in range(start, stop)]
+        moments, rows = _trial_chunk(plan, (start, stop, True))
+        assert rows == "".join(f"{i},{x}\n" for i, x in enumerate(delivered, start))
+        assert moments == _moments(delivered)

@@ -512,21 +512,42 @@ def test_packer_leaves_recursion_limit_alone_on_datasets(monkeypatch, nsfnet, ab
         sys.setrecursionlimit(start)
 
 
+# full-state search counts per dataset, named in the test ids: the exhaustive
+# search's nodes and memo entries (the drop child first, routes depth first,
+# no bound), then the bounded search's nodes and memo entries, the packing's
+# paths, and the nodes and rebuild memo entries after best_packing
+FULL_STATE_COUNTS = [
+    ("five_node", 23, 11, 13, 6, 6, 19, 6),
+    ("abilene_mux2", 447, 87, 108, 23, 4, 112, 4),
+    ("nsfnet", 198, 29, 48, 3, 3, 51, 3),
+]
+
+
+def exhaustive_counts(t):
+    """Nodes and memo entries of the exhaustive reference search of t's
+    full state."""
+    from qnetcap.capacity import topology_packer
+
+    ref = ReferencePacker(topology_packer(t))
+    reference_value(ref, t.capacities)
+    return ref.nodes_explored, len(ref.memo)
+
+
 @pytest.mark.parametrize(
-    "name, nodes, memo, paths, rebuilt_nodes, rebuilt",
-    [
-        pytest.param("five_node", 23, 11, 6, 41, 6, id="five_node-23-11"),
-        pytest.param("abilene_mux2", 447, 87, 4, 473, 4, id="abilene_mux2-447-87"),
-        pytest.param("nsfnet", 198, 29, 3, 248, 3, id="nsfnet-198-29"),
-    ],
+    "name, exhaustive, memo_exhaustive, nodes, memo, paths, rebuilt_nodes, rebuilt",
+    [pytest.param(*counts, id=f"{counts[0]}-{counts[1]}-{counts[2]}") for counts in FULL_STATE_COUNTS],
 )
-def test_packer_visit_order_is_pinned(name, nodes, memo, paths, rebuilt_nodes, rebuilt):
+def test_packer_visit_order_is_pinned(
+    name, exhaustive, memo_exhaustive, nodes, memo, paths, rebuilt_nodes, rebuilt
+):
     # the search's node and memo counts on the full state depend on the order
-    # in which it walks its children, which these counts pin; so do the
-    # counts of best_packing, run after value on the same packer
+    # in which it walks its children and on what its bound skips, which
+    # these counts pin; so do the counts of best_packing, run after value on
+    # the same packer
     from qnetcap.capacity import topology_packer
 
     t = datasets.load_dataset(name)
+    assert exhaustive_counts(t) == (exhaustive, memo_exhaustive)
     packer = topology_packer(t)
     packer.value(t.capacities)
     assert packer.nodes_explored == nodes
@@ -536,7 +557,9 @@ def test_packer_visit_order_is_pinned(name, nodes, memo, paths, rebuilt_nodes, r
     assert len(packer._rebuild_memo) == rebuilt
 
 
-@pytest.mark.parametrize("name, nodes", [("five_node", 23), ("abilene_mux2", 447), ("nsfnet", 198)])
+@pytest.mark.parametrize(
+    "name, nodes", [pytest.param(c[0], c[3], id=f"{c[0]}-{c[1]}") for c in FULL_STATE_COUNTS]
+)
 def test_solve_snapshot_counts_search_nodes_only(name, nodes):
     # the nodes column of test_packer_visit_order_is_pinned: the search
     # alone, without the memo reads of the path rebuild that follows it
@@ -712,15 +735,17 @@ def reference_branch(packer, counts):
 def assert_branch_matches(packer, counts):
     """Strips counts, unless the sink is cut off, and checks _branch child
     by child against reference_branch: gain, prefix (a tuple) and rest, with
-    the packed state unchanged after the last child. Returns the number of
-    paths."""
+    the packed state unchanged after the last child. _branch yields the
+    reference's route children by gain, descending, ties in depth-first
+    order, then its drop child. Returns the number of paths."""
     ok, counts = strip(packer, counts)
     if not ok:
         return 0
-    expected = [
+    drop, *routes = [
         (gain, None if prefix is None else tuple(prefix), rest)
         for gain, prefix, rest in reference_branch(packer, list(counts))
     ]
+    expected = sorted(routes, key=lambda child: -child[0]) + [drop]
     s = packer.pack(counts)
     children = packer._branch(s, support(counts))
     assert [(gain, prefix, unpack(packer, rest)) for gain, prefix, rest in children] == expected
@@ -805,6 +830,36 @@ def test_route_table_holds_the_full_state_spine(name):
     for counts in drawn_states(t):
         packer.value(counts)
     assert {first: len(routes) for first, routes in packer.routes.items()} == table
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bound_covers_every_searched_optimum(data):
+    # the search skips a child only when its bound, times SLACK, cannot
+    # beat the best, so that bound must hold for every exact optimum: the
+    # memo's entries
+    from qnetcap.capacity import topology_packer
+    from qnetcap.solver import SLACK
+
+    t = datasets.load_dataset(data.draw(st.sampled_from(datasets.DATASETS)))
+    packer = topology_packer(t)
+    n = len(packer.links)
+    packer.value(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    for key, optimum in packer.memo.items():  # the root's optimum among them
+        assert optimum <= packer._bound(key) * SLACK
+
+
+def test_bound_needs_its_slack(five_node):
+    # rounding puts this state's optimum one ulp above its bound
+    from qnetcap.capacity import topology_packer
+    from qnetcap.solver import SLACK
+
+    packer = topology_packer(five_node)
+    counts = [0, 1, 1, 1, 4, 2, 3]
+    s = packer._strip(packer.pack(counts))
+    assert repr(packer.value(counts)) == "1.7750000000000001"
+    assert repr(packer._bound(s)) == "1.775"
+    assert packer.value(counts) <= packer._bound(s) * SLACK
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -920,20 +975,23 @@ def reference_packing(ref, counts):
 
 def assert_search_matches(t, states):
     """Runs value then best_packing on each state, on one packer and one
-    reference, and checks value reprs, node counts, memo sizes and
-    packings after each; at the end, the memos entry by entry."""
+    exhaustive reference, and checks value reprs and packings after each,
+    and that the bounded search took no more nodes and memo entries; at the
+    end, that every packer memo entry is the reference's, and the path
+    rebuild memos entry by entry."""
     from qnetcap.capacity import topology_packer
 
     packer = topology_packer(t)
     ref = ReferencePacker(packer)
     for counts in states:
         assert repr(packer.value(counts)) == repr(reference_value(ref, counts))
-        assert packer.nodes_explored == ref.nodes_explored
-        assert len(packer.memo) == len(ref.memo)
+        assert packer.nodes_explored <= ref.nodes_explored
+        assert len(packer.memo) <= len(ref.memo)
         assert packer.best_packing(counts) == reference_packing(ref, counts)
-        assert packer.nodes_explored == ref.nodes_explored
+        assert packer.nodes_explored <= ref.nodes_explored
         assert len(packer._rebuild_memo) == len(ref._rebuild_memo)
-    assert packer.memo == {int.from_bytes(key, "little"): v for key, v in ref.memo.items()}
+    memo = {int.from_bytes(key, "little"): v for key, v in ref.memo.items()}
+    assert {key: memo.get(key) for key in packer.memo} == packer.memo
     assert packer._rebuild_memo == {
         int.from_bytes(key, "little"): v for key, v in ref._rebuild_memo.items()
     }
