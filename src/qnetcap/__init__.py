@@ -1,8 +1,10 @@
 """qnetcap: exact entanglement capacity of quantum repeater networks.
 
 Computes, for one source-sink pair, the expected number of end-to-end
-entangled pairs per time slot: exactly (full network-state enumeration),
-bounded (most likely states), or sampled (Monte Carlo), with a
+entangled pairs per time slot: exactly (a conditioning tree over the
+network's series chains, each chain a maximal run of links through
+internal nodes of degree 2, with the path packer's optimum at the
+leaves), bounded (most likely states), or sampled (Monte Carlo), with a
 local-knowledge greedy routing baseline for comparison.
 """
 

@@ -232,32 +232,25 @@ def _sample_chunk(engine: _Engine, job: tuple[int, int, int, bool]):
     return _moments(caps), csv_text(rows) if want_rows else None
 
 
-def series_chains(t: Topology) -> list[tuple[int, ...]]:
-    """Link indices of each maximal chain of links joined at internal nodes
-    of degree 2, in the order of the chains' first links; a link at no such
-    node is a chain of its own. A chain may close into a cycle."""
-    at: dict[str, list[int]] = {}
-    for i, link in enumerate(t.links):
-        at.setdefault(link.u, []).append(i)
-        at.setdefault(link.v, []).append(i)
-    joints = {
-        n for n, links in at.items() if len(links) == 2 and n not in (t.source, t.sink)
-    }
-    chain_of: list[Optional[int]] = [None] * len(t.links)
+def series_chains(packer: PathPacker) -> list[tuple[int, ...]]:
+    """Link indices of each maximal chain of the packer's links joined at
+    internal nodes of degree 2, in the order of the chains' first links; a
+    link at no such node is a chain of its own. A chain may close into a cycle."""
+    adj, ends = packer.adj, (packer.source, packer.sink)
+    seen = bytearray(len(packer.links))
     chains = []
-    for i in range(len(t.links)):
-        if chain_of[i] is not None:
+    for i in range(len(packer.links)):
+        if seen[i]:
             continue
-        chain_of[i] = len(chains)
+        seen[i] = 1
         chain, frontier = [i], [i]
         while frontier:
-            link = t.links[frontier.pop()]
-            for n in (link.u, link.v):
-                if n not in joints:
+            for n in packer.links[frontier.pop()]:
+                if len(adj[n]) != 2 or n in ends:
                     continue
-                for j in at[n]:
-                    if chain_of[j] is None:
-                        chain_of[j] = len(chains)
+                for j, _ in adj[n]:
+                    if not seen[j]:
+                        seen[j] = 1
                         chain.append(j)
                         frontier.append(j)
         chains.append(tuple(sorted(chain)))
@@ -301,7 +294,7 @@ class _ChainTree:
     def __init__(self, t: Topology, packer: PathPacker):
         self.packer = packer
         self.full = packer.pack(t.capacities)
-        self.chains = series_chains(t)
+        self.chains = series_chains(packer)
         pmfs = link_pmfs(t)
         self.pmfs = [chain_pmf([pmfs[l] for l in chain]) for chain in self.chains]
         self.chain_of = [0] * len(t.links)
@@ -354,17 +347,10 @@ class _ChainTree:
         settled already; None when it must be stripped.
         """
         if order is None:
-            # PathPacker._strip, keeping the support it folds: the settled
-            # support is the raw one less the links the strip drops
-            packer = self.packer
-            x = packer._support(s)
-            keep = packer.strips.get(x)
-            if keep is None:
-                keep = packer._support_strip(x)
-            if not keep:
+            s = self.packer._strip(s)
+            if not s:
                 return None
-            s &= keep
-            order = self._order(s, x & keep, orders)
+            order = self._order(s, self.packer._support(s), orders)
             open_ &= order[1]
         if open_:
             for j in order[2]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -42,8 +43,8 @@ class LossConstants:
     def __post_init__(self) -> None:
         if not 0.0 < self.c_eff <= 1.0:
             raise TopologyError([f"constants.c_eff: must be in (0, 1], got {self.c_eff}"])
-        if self.beta < 0.0:
-            raise TopologyError([f"constants.beta: must be >= 0, got {self.beta}"])
+        if not 0.0 <= self.beta < math.inf:
+            raise TopologyError([f"constants.beta: must be finite and >= 0, got {self.beta}"])
 
 
 def derive_link_probability(length_km: float, constants: LossConstants = LossConstants()) -> float:
@@ -52,8 +53,8 @@ def derive_link_probability(length_km: float, constants: LossConstants = LossCon
     Combines fiber transmissivity 10^(-0.1 * beta * L) with the loss
     pre-factor c_eff; the result is clamped to [0, 1].
     """
-    if length_km < 0.0:
-        raise TopologyError([f"length_km: must be >= 0, got {length_km}"])
+    if not 0.0 <= length_km < math.inf:
+        raise TopologyError([f"length_km: must be finite and >= 0, got {length_km}"])
     p = constants.c_eff * 10.0 ** (-0.1 * constants.beta * length_km)
     return min(max(p, 0.0), 1.0)
 
@@ -212,8 +213,8 @@ def validate_topology(t: Topology) -> list[str]:
         seen_pairs.add(l.key)
         if (l.length_km is None) == (l.p is None):
             diags.append(f"{loc}: exactly one of length_km / p must be given")
-        if l.length_km is not None and l.length_km < 0:
-            diags.append(f"{loc}.length_km: must be >= 0, got {l.length_km}")
+        if l.length_km is not None and not 0.0 <= l.length_km < math.inf:
+            diags.append(f"{loc}.length_km: must be finite and >= 0, got {l.length_km}")
         if l.p is not None and not 0.0 <= l.p <= 1.0:
             diags.append(f"{loc}.p: must be in [0, 1], got {l.p}")
         if isinstance(l.c, bool) or not isinstance(l.c, int) or not 1 <= l.c <= MAX_LINK_PAIRS:

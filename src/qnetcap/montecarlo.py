@@ -21,7 +21,6 @@ published routing algorithm.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -59,18 +58,14 @@ class SimResult:
     samples: int
 
 
-def hop_distances(t: Topology, target: str) -> dict[str, float]:
-    """Unweighted BFS hop counts to target over the full physical topology."""
-    adj: dict[str, list[str]] = {n.id: [] for n in t.nodes}
-    for l in t.links:
-        adj[l.u].append(l.v)
-        adj[l.v].append(l.u)
-    dist = {n.id: math.inf for n in t.nodes}
+def hop_distances(adj, target: int) -> list[float]:
+    """Unweighted BFS hop counts to the node index target over an
+    adjacency of (link, neighbour) entries per node, as PathPacker.adj."""
+    dist = [math.inf] * len(adj)
     dist[target] = 0.0
-    queue = deque([target])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
+    queue = [target]
+    for u in queue:
+        for _, v in adj[u]:
             if dist[v] == math.inf:
                 dist[v] = dist[u] + 1.0
                 queue.append(v)
@@ -78,44 +73,24 @@ def hop_distances(t: Topology, target: str) -> dict[str, float]:
 
 
 class _SimPlan:
-    """Precomputed arrays for fast per-trial simulation, the run's seed, and
-    the swap table.
-
-    node_links[n] lists node n's link indices in link order, and internal
-    the internal node indices in index order. The swap table `local` maps
-    (node, *counts of node_links[node]) to the node's greedy swaps in
-    decision order, as ((la, ma), (lb, mb)) pairs of pair ends. It is filled
-    on first use and cleared wholesale once it holds _RAW_CACHE_CAP entries.
+    """The packer's graph (adj, in which a link's other end from node is
+    node ^ across[link]), hop distances, the run's seed, and the swap
+    table `local`: (node, *its links' counts) to the node's greedy swaps in
+    decision order, as ((la, ma), (lb, mb)) pairs of pair ends, filled on
+    first use and cleared wholesale once it holds _RAW_CACHE_CAP entries.
     """
 
     def __init__(self, t: Topology, seed: int):
         packer = topology_packer(t)
-        self.ids, self.links, self.q = packer.ids, packer.links, packer.gains
+        self.ids, self.adj, self.q = packer.ids, packer.adj, packer.gains
         self.source, self.sink = packer.source, packer.sink
+        self.across = [u ^ v for u, v in packer.links]
         self.slots = PairSlots(t)
         self.seed = seed
-        d_s = hop_distances(t, t.source)
-        d_t = hop_distances(t, t.sink)
-        self.d_s = [d_s[nid] for nid in self.ids]
-        self.d_t = [d_t[nid] for nid in self.ids]
-        self.node_links: list[list[int]] = [[] for _ in self.ids]
-        for l, (u, v) in enumerate(self.links):
-            self.node_links[u].append(l)
-            self.node_links[v].append(l)
+        self.d_s = hop_distances(self.adj, self.source)
+        self.d_t = hop_distances(self.adj, self.sink)
         self.internal = [n for n in range(len(self.ids)) if n not in (self.source, self.sink)]
         self.local: dict[tuple[int, ...], tuple] = {}
-
-
-def _pair_cost(plan: _SimPlan, count: int, here: int, other: int, to_source: bool):
-    """Distance rank of a live pair end at `here` leading toward `other`.
-
-    Pairs on multiplexed links (count >= 2) route through inserted unit-gain
-    midpoints, whose hop distances interpolate the two physical endpoints.
-    """
-    d = plan.d_s if to_source else plan.d_t
-    if count >= 2:
-        return 0.5 * (d[here] + d[other])
-    return d[other]
 
 
 def _local_pairings(plan: _SimPlan, node: int, counts) -> tuple:
@@ -123,31 +98,26 @@ def _local_pairings(plan: _SimPlan, node: int, counts) -> tuple:
 
     Repeatedly pairs the live end nearest the source with the live end
     nearest the sink. A pair end is (link index, pair index), listed by
-    link, then by pair index.
+    link, then by pair index. Pairs on multiplexed links (count >= 2) route
+    through inserted unit-gain midpoints, whose hop distances interpolate
+    the two physical endpoints.
     """
-    # the keys (cost, other ids, m's) are unique on a simple graph, so
-    # the order of remaining never matters
-    remaining = [(l, m) for l in plan.node_links[node] for m in range(counts[l])]
+    d_s, d_t, ids = plan.d_s, plan.d_t, plan.ids
+    remaining = []  # (distance to source, to sink, other end's id, m, end)
+    for l, w in plan.adj[node]:
+        if counts[l] >= 2:
+            to_s, to_t = 0.5 * (d_s[node] + d_s[w]), 0.5 * (d_t[node] + d_t[w])
+        else:
+            to_s, to_t = d_s[w], d_t[w]
+        remaining += [(to_s, to_t, ids[w], m, (l, m)) for m in range(counts[l])]
+    # the keys are unique on a simple graph, so min never compares the ends
     swaps = []
     while len(remaining) >= 2:
-        best = None
-        for a in remaining:
-            la, ma = a
-            ua, va = plan.links[la]
-            other_a = va if ua == node else ua
-            cost_a = _pair_cost(plan, counts[la], node, other_a, to_source=True)
-            for b in remaining:
-                if b == a:
-                    continue
-                lb, mb = b
-                ub, vb = plan.links[lb]
-                other_b = vb if ub == node else ub
-                cost_b = _pair_cost(plan, counts[lb], node, other_b, to_source=False)
-                key = (cost_a + cost_b, plan.ids[other_a], plan.ids[other_b], ma, mb)
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, a, b = best
-        swaps.append((a, b))
+        *_, a, b = min(
+            (a[0] + b[1], a[2], b[2], a[3], b[3], a, b)
+            for a in remaining for b in remaining if a is not b
+        )
+        swaps.append((a[4], b[4]))
         remaining.remove(a)
         remaining.remove(b)
     return tuple(swaps)
@@ -157,11 +127,11 @@ def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
     counts = plan.slots.draw(gen).tolist()
 
     # each internal node's swaps depend only on its own links' counts
-    local, node_links = plan.local, plan.node_links
+    local, adj = plan.local, plan.adj
     picks = []  # (node, its swaps) for every node that swaps
     n = 0
     for node in plan.internal:
-        key = (node, *[counts[l] for l in node_links[node]])
+        key = (node, *[counts[l] for l, _ in adj[node]])
         pairs = local.get(key)
         if pairs is None:
             if len(local) >= _RAW_CACHE_CAP:
@@ -183,18 +153,17 @@ def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
                     partner[(node, b)] = a
 
     # count chains that run from source to sink over successful swaps
+    across, source, sink = plan.across, plan.source, plan.sink
     delivered = 0
-    for l in plan.node_links[plan.source]:
+    for l, first in adj[source]:
         for m in range(counts[l]):
-            u, v = plan.links[l]
-            node = v if u == plan.source else u
-            current = (l, m)
+            node, current = first, (l, m)
             visited = {current}
             while True:
-                if node == plan.sink:
+                if node == sink:
                     delivered += 1
                     break
-                if node == plan.source:
+                if node == source:
                     break  # chain looped back to the source end
                 current = partner.get((node, current))
                 if current is None:
@@ -202,8 +171,7 @@ def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
                 if current in visited:
                     break  # cycle: delivers nothing
                 visited.add(current)
-                u, v = plan.links[current[0]]
-                node = v if u == node else u
+                node ^= across[current[0]]
     return delivered
 
 

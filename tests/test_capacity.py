@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_topology
+from conftest import make_topology, random_instance
 from qnetcap import capacity, datasets
 from qnetcap.capacity import (
     SAMPLE_CHUNK,
@@ -396,7 +396,7 @@ def test_exact_multiplexed_chain_is_expected_minimum():
     c = {("s", "a"): 3, ("a", "b"): 5, ("b", "c"): 2, ("c", "t"): 4}
     q = {"a": 0.8, "b": 0.5, "c": 0.9}
     t = make_topology(q, list(p), p=p, caps=c)
-    assert capacity.series_chains(t) == [(0, 1, 2, 3)]
+    assert capacity.series_chains(topology_packer(t)) == [(0, 1, 2, 3)]
     expected = math.fsum(
         math.prod(tail(c[l], p[l], k) for l in p) for k in range(1, 3)
     ) * math.prod(q.values())
@@ -422,7 +422,7 @@ def test_exact_parallel_routes_at_count_255(depth, monkeypatch):
     # depth 0 runs the whole tree as one job, under one memo
     monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
     t = parallel_routes_at_255()
-    assert capacity.series_chains(t) == [(0, 1), (2,)]
+    assert capacity.series_chains(topology_packer(t)) == [(0, 1), (2,)]
     expected = 255 * 0.3 + 0.7 * math.fsum(
         tail(255, 0.6, k) * tail(255, 0.45, k) for k in range(1, 256)
     )
@@ -473,8 +473,54 @@ def test_series_chains_follow_degree_two_nodes():
         ("s", "a"), ("a", "b"), ("b", "t"), ("b", "c"), ("c", "d"), ("d", "b"), ("s", "t"),
     ]
     t = make_topology({n: 0.9 for n in "abcd"}, pairs)
-    chains = [[t.link_ids[l] for l in chain] for chain in capacity.series_chains(t)]
+    chains = [[t.link_ids[l] for l in chain] for chain in capacity.series_chains(topology_packer(t))]
     assert chains == [["a-b", "s-a"], ["b-c", "d-b", "c-d"], ["b-t"], ["s-t"]]
+
+
+def reference_series_chains(t):
+    """series_chains as it was before it read the packer's graph: over node
+    names, with its own incidence map."""
+    at = {}
+    for i, link in enumerate(t.links):
+        at.setdefault(link.u, []).append(i)
+        at.setdefault(link.v, []).append(i)
+    joints = {n for n, links in at.items() if len(links) == 2 and n not in (t.source, t.sink)}
+    chain_of = [None] * len(t.links)
+    chains = []
+    for i in range(len(t.links)):
+        if chain_of[i] is not None:
+            continue
+        chain_of[i] = len(chains)
+        chain, frontier = [i], [i]
+        while frontier:
+            link = t.links[frontier.pop()]
+            for n in (link.u, link.v):
+                if n not in joints:
+                    continue
+                for j in at[n]:
+                    if chain_of[j] is None:
+                        chain_of[j] = len(chains)
+                        chain.append(j)
+                        frontier.append(j)
+        chains.append(tuple(sorted(chain)))
+    return chains
+
+
+def test_series_chains_match_the_name_keyed_walk():
+    for name in datasets.DATASETS:
+        t = datasets.load_dataset(name)
+        assert capacity.series_chains(topology_packer(t)) == reference_series_chains(t), name
+    rng = np.random.default_rng(21)
+    cycles = 0
+    for i in range(300):
+        t, _ = random_instance(rng, mux=i % 2 == 1)
+        chains = capacity.series_chains(topology_packer(t))
+        assert chains == reference_series_chains(t), i
+        # a chain that closes into a cycle has as many nodes as links
+        for chain in chains:
+            ends = {n for l in chain for n in (t.links[l].u, t.links[l].v)}
+            cycles += len(ends) == len(chain)
+    assert cycles > 0
 
 
 class BfsTree(capacity._ChainTree):

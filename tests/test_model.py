@@ -1,5 +1,7 @@
 """Topology data model, loss-model derivation, file ingestion."""
 
+import re
+
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -64,6 +66,32 @@ def test_loss_constants_validated():
         LossConstants(c_eff=0.0)
     with pytest.raises(TopologyError):
         LossConstants(beta=-0.1)
+
+
+@pytest.mark.parametrize("length_km", [float("nan"), float("inf")])
+def test_derive_rejects_non_finite_length(length_km):
+    with pytest.raises(TopologyError, match="length_km: must be finite"):
+        derive_link_probability(length_km, DEFAULTS)
+
+
+@pytest.mark.parametrize(
+    "link, constants, field",
+    [
+        ("length_km: .nan", "{}", ".length_km: must be finite and >= 0"),
+        ("length_km: 10", "{beta: .nan}", "constants.beta: must be finite and >= 0"),
+        ("length_km: .inf", "{beta: 0}", ".length_km: must be finite and >= 0"),
+    ],
+)
+def test_non_finite_loss_fields_are_rejected(link, constants, field):
+    # each would give p = nan, and a nan capacity, instead of an error
+    doc = f"""
+nodes: [{{id: a}}, {{id: b}}]
+links: [{{u: a, v: b, {link}}}]
+endpoints: {{source: a, sink: b}}
+constants: {constants}
+"""
+    with pytest.raises(TopologyError, match=re.escape(field)):
+        load_topology(doc)
 
 
 def test_five_node_dataset_shape(five_node):

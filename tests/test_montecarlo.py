@@ -1,7 +1,9 @@
 """Local-knowledge greedy baseline simulation."""
 
+import collections
 import hashlib
 import io
+import math
 
 import pytest
 
@@ -9,12 +11,11 @@ import numpy as np
 
 from conftest import make_topology, random_instance
 from qnetcap import montecarlo
-from qnetcap.capacity import _moments, _substream, exact_capacity
+from qnetcap.capacity import _moments, _substream, exact_capacity, topology_packer
 from qnetcap.datasets import DATASETS, load_dataset
 from qnetcap.montecarlo import (
     TRIAL_CHUNK,
     SimConfig,
-    _pair_cost,
     _run_trial,
     _SimPlan,
     _trial_chunk,
@@ -30,8 +31,37 @@ def test_config_rejects_nonpositive_samples():
 
 def test_hop_distances_simple():
     t = make_topology({"a": 0.5, "b": 0.5}, [("s", "a"), ("a", "b"), ("b", "t")])
-    d = hop_distances(t, "s")
+    packer = topology_packer(t)
+    d = dict(zip(packer.ids, hop_distances(packer.adj, packer.ids.index("s"))))
     assert d == {"s": 0.0, "a": 1.0, "b": 2.0, "t": 3.0}
+
+
+def reference_hop_distances(t, target):
+    """Hop counts to target as the simulator found them before it read the
+    packer's adjacency: a BFS over node names."""
+    adj = {n.id: [] for n in t.nodes}
+    for l in t.links:
+        adj[l.u].append(l.v)
+        adj[l.v].append(l.u)
+    dist = {n.id: math.inf for n in t.nodes}
+    dist[target] = 0.0
+    queue = collections.deque([target])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] == math.inf:
+                dist[v] = dist[u] + 1.0
+                queue.append(v)
+    return dist
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_hop_distances_match_the_name_keyed_bfs(name):
+    t = load_dataset(name)
+    packer = topology_packer(t)
+    for target in (t.source, t.sink):
+        d = hop_distances(packer.adj, packer.ids.index(target))
+        assert dict(zip(packer.ids, d)) == reference_hop_distances(t, target), target
 
 
 def test_single_forced_swap():
@@ -140,14 +170,32 @@ def test_simulate_estimates_are_pinned():
 
 def reference_trial(plan, gen):
     """The simulator's trial as it was before the swap table: every trial
-    runs the greedy pairing again at every internal node."""
+    runs the greedy pairing again at every internal node. Link ends are
+    read from the plan's adjacency."""
+    links = {}
+    for u, entries in enumerate(plan.adj):
+        for l, v in entries:
+            links.setdefault(l, (u, v))
+
+    def _pair_cost(plan, count, here, other, to_source):
+        """Distance rank of a live pair end at `here` leading toward `other`.
+
+        Pairs on multiplexed links (count >= 2) route through inserted
+        unit-gain midpoints, whose hop distances interpolate the two
+        physical endpoints.
+        """
+        d = plan.d_s if to_source else plan.d_t
+        if count >= 2:
+            return 0.5 * (d[here] + d[other])
+        return d[other]
+
     counts = plan.slots.draw(gen).tolist()
 
     # pair instances: (link index, pair index); each has an end at both link nodes
     instances: list[tuple[int, int]] = []
     incident: dict[int, list[int]] = {}
     for l, k in enumerate(counts):
-        u, v = plan.links[l]
+        u, v = links[l]
         for m in range(k):
             inst = len(instances)
             instances.append((l, m))
@@ -169,14 +217,14 @@ def reference_trial(plan, gen):
             best = None
             for a in remaining:
                 la, ma = instances[a]
-                ua, va = plan.links[la]
+                ua, va = links[la]
                 other_a = va if ua == node else ua
                 cost_a = _pair_cost(plan, counts[la], node, other_a, to_source=True)
                 for b in remaining:
                     if b == a:
                         continue
                     lb, mb = instances[b]
-                    ub, vb = plan.links[lb]
+                    ub, vb = links[lb]
                     other_b = vb if ub == node else ub
                     cost_b = _pair_cost(plan, counts[lb], node, other_b, to_source=False)
                     key = (cost_a + cost_b, plan.ids[other_a], plan.ids[other_b], ma, mb)
@@ -193,7 +241,7 @@ def reference_trial(plan, gen):
     delivered = 0
     for inst in incident.get(plan.source, ()):
         l, _ = instances[inst]
-        u, v = plan.links[l]
+        u, v = links[l]
         node = v if u == plan.source else u
         current = inst
         visited = {inst}
@@ -211,7 +259,7 @@ def reference_trial(plan, gen):
                 break  # cycle: delivers nothing
             visited.add(current)
             l, _ = instances[current]
-            u, v = plan.links[l]
+            u, v = links[l]
             node = v if u == node else u
     return delivered
 
@@ -251,7 +299,7 @@ def test_trials_match_with_three_pairs_per_link_at_a_degree_three_node():
     t = make_topology({"a": 0.7, "b": 0.4}, pairs, p=0.6, caps=caps)
     plan = assert_trials_match(t, 500)
     a = plan.ids.index("a")
-    assert len(plan.node_links[a]) == 3
+    assert len(plan.adj[a]) == 3
     assert any(key[0] == a and len(swaps) >= 3 for key, swaps in plan.local.items())
 
 
