@@ -62,7 +62,7 @@ from .snapshot import (
     state_bases,
     state_row,
 )
-from .solver import PathPacker, index_network
+from .solver import PathPacker, index_network, series_chains  # noqa: F401 (re-exported)
 
 EXACT_STATE_BUDGET = 1 << 22
 STATE_CHUNK = 1 << 14  # states per reduction chunk (fixed: determinism contract)
@@ -232,31 +232,6 @@ def _sample_chunk(engine: _Engine, job: tuple[int, int, int, bool]):
     return _moments(caps), csv_text(rows) if want_rows else None
 
 
-def series_chains(packer: PathPacker) -> list[tuple[int, ...]]:
-    """Link indices of each maximal chain of the packer's links joined at
-    internal nodes of degree 2, in the order of the chains' first links; a
-    link at no such node is a chain of its own. A chain may close into a cycle."""
-    adj, ends = packer.adj, (packer.source, packer.sink)
-    seen = bytearray(len(packer.links))
-    chains = []
-    for i in range(len(packer.links)):
-        if seen[i]:
-            continue
-        seen[i] = 1
-        chain, frontier = [i], [i]
-        while frontier:
-            for n in packer.links[frontier.pop()]:
-                if len(adj[n]) != 2 or n in ends:
-                    continue
-                for j, _ in adj[n]:
-                    if not seen[j]:
-                        seen[j] = 1
-                        chain.append(j)
-                        frontier.append(j)
-        chains.append(tuple(sorted(chain)))
-    return chains
-
-
 def chain_pmf(pmfs: Sequence[Sequence[float]]) -> tuple[float, ...]:
     """pmf of the least of independent counts with the given pmfs.
 
@@ -280,8 +255,7 @@ class _ChainTree:
     the open (undecided and relevant) chains, whose links hold their full
     capacity in the state. Nodes are settled: stripped, with the chains the
     strip drops taken out of the mask. Deciding chain j at k pairs is
-    (s & chain_clear[j]) + k * chain_ones[j]: chain_ones[j] has a 1 in the
-    byte of each of j's links, and chain_clear[j] zeroes those bytes.
+    (s & chain_clear[j]) + k * chain_ones[j] (see PathPacker.chain_table).
 
     The chain a node branches on depends only on its settled support (the
     links that hold pairs), so each support's chain order is found once:
@@ -294,16 +268,13 @@ class _ChainTree:
     def __init__(self, t: Topology, packer: PathPacker):
         self.packer = packer
         self.full = packer.pack(t.capacities)
-        self.chains = series_chains(packer)
+        self.chains, self.chain_ones, self.chain_clear = packer.chain_table
         pmfs = link_pmfs(t)
         self.pmfs = [chain_pmf([pmfs[l] for l in chain]) for chain in self.chains]
         self.chain_of = [0] * len(t.links)
         for j, chain in enumerate(self.chains):
             for l in chain:
                 self.chain_of[l] = j
-        self.chain_ones = [sum(1 << 8 * l for l in chain) for chain in self.chains]
-        full = packer.ones * 0xFF
-        self.chain_clear = [full ^ ones * 0xFF for ones in self.chain_ones]
         self.open_shift = 8 * len(t.links)  # interior memo keys: open mask above the state
 
     def _order(self, s: int, x: int, orders: dict) -> tuple[int, int, tuple[int, ...]]:

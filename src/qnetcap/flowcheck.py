@@ -59,14 +59,10 @@ class FlowAssignment:
 
     @staticmethod
     def from_document(document: Mapping) -> "FlowAssignment":
-        flows = {
-            (str(row["from"]), str(row["to"])): float(row["value"])
-            for row in document.get("flows") or []
-        }
-        matchings = {
-            (str(row["i"]), str(row["j"]), str(row["k"])): int(row["value"])
-            for row in document.get("matchings") or []
-        }
+        """The assignment of a parsed document (see to_document); a
+        malformed section or row is a ValueError that names it."""
+        flows = dict(_rows(document, "flows", ("from", "to"), float))
+        matchings = dict(_rows(document, "matchings", ("i", "j", "k"), int))
         return FlowAssignment(flows, matchings)
 
     def to_document(self) -> dict:
@@ -81,8 +77,34 @@ class FlowAssignment:
         }
 
 
+def _rows(document: Mapping, section: str, keys: tuple[str, ...], kind: type):
+    """(names, value) of each row of document[section], a list of mappings
+    of keys and "value" (absent or null: no rows), value read as kind."""
+    rows = document.get(section)
+    if rows is None:
+        return
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"{section}: expected a list, got {type(rows).__name__}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, Mapping):
+            raise ValueError(f"{section}[{i}]: expected a mapping, got {type(row).__name__}")
+        missing = [key for key in (*keys, "value") if key not in row]
+        if missing:
+            raise ValueError(f"{section}[{i}]: missing {', '.join(missing)}")
+        try:
+            value = kind(row["value"])
+        except (TypeError, ValueError):
+            raise ValueError(f"{section}[{i}].value: not a number ({row['value']!r})") from None
+        yield tuple(str(row[key]) for key in keys), value
+
+
 def load_assignment(text_or_path) -> FlowAssignment:
-    document = yaml.load(read_text(text_or_path), Loader=YAML_LOADER)
+    """Loads an assignment from YAML text or a file path; malformed YAML or
+    a malformed document is a ValueError."""
+    try:
+        document = yaml.load(read_text(text_or_path), Loader=YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"assignment: YAML parse failure: {exc}") from exc
     if not isinstance(document, Mapping):
         raise ValueError("assignment document must be a mapping with flows/matchings")
     return FlowAssignment.from_document(document)

@@ -228,6 +228,16 @@ def _require(cond: bool, diags: list[str], msg: str) -> bool:
     return cond
 
 
+def _section(document: Mapping, key: str, types, expected: str, diags: list[str]):
+    """document[key] if it is one of types. Otherwise {}, which reads as
+    an empty mapping or list: as is when the key is absent or null, else
+    with the diagnostic "<key>: expected <expected>"."""
+    raw = document.get(key)
+    if raw is None or not _require(isinstance(raw, types), diags, f"{key}: expected {expected}"):
+        return {}
+    return raw
+
+
 def parse_topology(document: Mapping) -> Topology:
     """Builds a Topology from a parsed key-value tree (see file format)."""
     diags: list[str] = []
@@ -237,8 +247,7 @@ def parse_topology(document: Mapping) -> Topology:
     if unknown:
         diags.append(f"document: unknown top-level keys {sorted(unknown)}")
 
-    raw_const = document.get("constants") or {}
-    _require(isinstance(raw_const, Mapping), diags, "constants: expected a mapping")
+    raw_const = _section(document, "constants", Mapping, "a mapping", diags)
     try:
         constants = LossConstants(
             c_eff=float(raw_const.get("c_eff", 0.9)),
@@ -259,7 +268,7 @@ def parse_topology(document: Mapping) -> Topology:
     sink = str(endpoints["sink"])
 
     nodes: list[NodeSpec] = []
-    for i, raw in enumerate(document.get("nodes") or []):
+    for i, raw in enumerate(_section(document, "nodes", (list, tuple), "a list", diags)):
         if not _require(isinstance(raw, Mapping) and "id" in raw, diags, f"nodes[{i}]: need an id"):
             continue
         nid = str(raw["id"])
@@ -274,7 +283,7 @@ def parse_topology(document: Mapping) -> Topology:
         nodes.append(NodeSpec(nid, q, _role_of(nid, source, sink)))
 
     links: list[LinkSpec] = []
-    for i, raw in enumerate(document.get("links") or []):
+    for i, raw in enumerate(_section(document, "links", (list, tuple), "a list", diags)):
         if not _require(
             isinstance(raw, Mapping) and "u" in raw and "v" in raw,
             diags,

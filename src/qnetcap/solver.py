@@ -26,10 +26,12 @@ memo holds exact optima only.
 
 A search state is one int, the packed state: byte i holds the pair count
 of link i, which MAX_LINK_PAIRS keeps within a byte. value and
-best_packing pack their count vector once (PathPacker.pack). A path's
-byte mask has a 1 in the byte of each of its links, so routing the path
-is one subtraction, which never borrows where every link holds a pair,
-and dropping a link is one AND.
+best_packing pack their count vector once (PathPacker.pack), with each
+series chain (links joined at internal nodes of degree 2) at its least
+count, as a path uses all of a chain or none. A path's byte mask has a 1
+in the byte of each of its links, so routing the path is one subtraction,
+which never borrows where every link holds a pair, and dropping a link is
+one AND.
 
 Every search node is first stripped (a root that comes stripped, as a leaf
 of the capacity engine's conditioning tree does, skips it): links on no
@@ -48,6 +50,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
@@ -70,7 +73,9 @@ class PathPacker:
     frames, so no instance is too deep for the interpreter's stack.
 
     States are packed (see pack): byte i of the int is the pair count of
-    link i. The support of a state s is the fold
+    link i, and every stripped state, so every memo key and every state
+    _bound reads, holds each series chain at its least count. The support
+    of a state s is the fold
     x = s | s >> 4; x |= x >> 2; x |= x >> 1; x & ones, with bit 8i set
     when link i holds pairs (ones has a 1 in every link's byte). The strip
     table (strips) maps a support to its keep mask: 0xFF in the byte of
@@ -123,7 +128,7 @@ class PathPacker:
         self.nodes_explored = 0
 
     def pack(self, counts: Sequence[int]) -> int:
-        """The packed state of a count vector: byte i is counts[i]."""
+        """The packed count vector: byte i is counts[i], or its chain's least count."""
         if len(counts) != len(self.links):
             raise ValueError(
                 f"count vector has {len(counts)} entries, the packer has {len(self.links)} links"
@@ -131,7 +136,21 @@ class PathPacker:
         data = bytearray(counts)
         if len(data) != len(counts):  # a buffer of wider items, such as a numpy int64 array
             data = bytearray(list(counts))
-        return int.from_bytes(data, "little")
+        s = int.from_bytes(data, "little")
+        if max(data, default=0) > 1:  # else the strip leaves each chain at its least count
+            for chain, ones, clear in zip(*self.chain_table):
+                if len(chain) > 1:
+                    s = s & clear | min(map(data.__getitem__, chain)) * ones
+        return s
+
+    @cached_property
+    def chain_table(self) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+        """(chains, ones, clear), found on first use: the packer's series
+        chains (see series_chains); per chain, a 1 in the byte of each of its
+        links; and per chain, the mask that zeroes those bytes."""
+        chains = series_chains(self)
+        ones = [sum(1 << 8 * l for l in chain) for chain in chains]
+        return chains, ones, [self.ones * 0xFF ^ mask * 0xFF for mask in ones]
 
     def _support(self, s: int) -> int:
         """The support of the state s: bit 8i is set where link i holds pairs."""
@@ -434,6 +453,31 @@ def index_network(
     index = {n: i for i, n in enumerate(ids)}
     links = [(index[u], index[v]) for u, v in links]
     return PathPacker(ids, links, [gains[n] for n in ids], index[source], index[sink])
+
+
+def series_chains(packer: PathPacker) -> list[tuple[int, ...]]:
+    """Link indices of each maximal chain of the packer's links joined at
+    internal nodes of degree 2, in the order of the chains' first links; a
+    link at no such node is a chain of its own. A chain may close into a cycle."""
+    adj, ends = packer.adj, (packer.source, packer.sink)
+    seen = bytearray(len(packer.links))
+    chains = []
+    for i in range(len(packer.links)):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        chain, frontier = [i], [i]
+        while frontier:
+            for n in packer.links[frontier.pop()]:
+                if len(adj[n]) != 2 or n in ends:
+                    continue
+                for j, _ in adj[n]:
+                    if not seen[j]:
+                        seen[j] = 1
+                        chain.append(j)
+                        frontier.append(j)
+        chains.append(tuple(sorted(chain)))
+    return chains
 
 
 @dataclass(frozen=True)

@@ -118,3 +118,32 @@ def random_instance(
         if sum(vec) == 0:
             continue
         return t, SnapshotState.from_vector(t, vec)
+
+
+def reference_series_chains(t):
+    """series_chains as it was before it read the packer's graph: over node
+    names, with its own incidence map."""
+    at = {}
+    for i, link in enumerate(t.links):
+        at.setdefault(link.u, []).append(i)
+        at.setdefault(link.v, []).append(i)
+    joints = {n for n, links in at.items() if len(links) == 2 and n not in (t.source, t.sink)}
+    chain_of = [None] * len(t.links)
+    chains = []
+    for i in range(len(t.links)):
+        if chain_of[i] is not None:
+            continue
+        chain_of[i] = len(chains)
+        chain, frontier = [i], [i]
+        while frontier:
+            link = t.links[frontier.pop()]
+            for n in (link.u, link.v):
+                if n not in joints:
+                    continue
+                for j in at[n]:
+                    if chain_of[j] is None:
+                        chain_of[j] = len(chains)
+                        chain.append(j)
+                        frontier.append(j)
+        chains.append(tuple(sorted(chain)))
+    return chains

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import make_topology, random_instance
+from conftest import make_topology, random_instance, reference_series_chains
 from qnetcap import capacity, datasets
 from qnetcap.capacity import (
     SAMPLE_CHUNK,
@@ -475,35 +475,6 @@ def test_series_chains_follow_degree_two_nodes():
     t = make_topology({n: 0.9 for n in "abcd"}, pairs)
     chains = [[t.link_ids[l] for l in chain] for chain in capacity.series_chains(topology_packer(t))]
     assert chains == [["a-b", "s-a"], ["b-c", "d-b", "c-d"], ["b-t"], ["s-t"]]
-
-
-def reference_series_chains(t):
-    """series_chains as it was before it read the packer's graph: over node
-    names, with its own incidence map."""
-    at = {}
-    for i, link in enumerate(t.links):
-        at.setdefault(link.u, []).append(i)
-        at.setdefault(link.v, []).append(i)
-    joints = {n for n, links in at.items() if len(links) == 2 and n not in (t.source, t.sink)}
-    chain_of = [None] * len(t.links)
-    chains = []
-    for i in range(len(t.links)):
-        if chain_of[i] is not None:
-            continue
-        chain_of[i] = len(chains)
-        chain, frontier = [i], [i]
-        while frontier:
-            link = t.links[frontier.pop()]
-            for n in (link.u, link.v):
-                if n not in joints:
-                    continue
-                for j in at[n]:
-                    if chain_of[j] is None:
-                        chain_of[j] = len(chains)
-                        chain.append(j)
-                        frontier.append(j)
-        chains.append(tuple(sorted(chain)))
-    return chains
 
 
 def test_series_chains_match_the_name_keyed_walk():

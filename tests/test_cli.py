@@ -45,6 +45,27 @@ def test_capacity_topology_from_file(tmp_path, capsys):
     assert "capacity:             0.3" in out
 
 
+def test_capacity_malformed_topology_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "net.yaml"
+    path.write_text("nodes: 5\nlinks: [{u: s, v: t, p: 0.3}]\nendpoints: {source: s, sink: t}\n")
+    code, out, err = run(capsys, "capacity", "--topology", str(path), "--threads", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: nodes: expected a list\n"
+
+
+@pytest.mark.parametrize("text", ["flows: [", "flows: [1, 2]", "matchings: 3"])
+def test_verify_malformed_assignment_file_is_an_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text + "\n")
+    code, out, err = run(
+        capsys, "verify", "--topology", "five_node", "--assignment", str(path)
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_capacity_truncated_needs_top_k(capsys):
     code, _, err = run(capsys, "capacity", "--topology", "five_node", "--mode", "truncated")
     assert code == 1

@@ -160,6 +160,30 @@ def test_assignment_document_round_trip():
     assert again.matchings == a.matchings
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("flows: [", r"^assignment: YAML parse failure: "),
+        ("flows: [1, 2]", r"^flows\[0\]: expected a mapping, got int$"),
+        ("matchings: 3", r"^matchings: expected a list, got int$"),
+        ("flows: {from: a, to: b, value: 1}", r"^flows: expected a list, got dict$"),
+        ("matchings: [{i: a, j: b, k: c, value: 1}, x]", r"^matchings\[1\]: expected a mapping"),
+        ("flows: [{from: a, value: 0.5}]", r"^flows\[0\]: missing to$"),
+        ("flows: [{from: a, to: b, value: null}]", r"^flows\[0\]\.value: not a number \(None\)$"),
+        ("matchings: [{i: a, j: b, k: c, value: x}]", r"^matchings\[0\]\.value: not a number"),
+    ],
+)
+def test_malformed_assignment_documents_are_value_errors(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_assignment(text + "\n")
+
+
+def test_assignment_sections_may_be_absent_or_null():
+    for text in ("{}", "flows: null\nmatchings: []"):
+        a = load_assignment(text)
+        assert (a.flows, a.matchings) == ({}, {})
+
+
 def reference_adjacency(g):
     """(out, in) neighbour lists of every node, from the arcs sorted here."""
     out_arcs, in_arcs = {}, {}

@@ -271,3 +271,35 @@ def test_malformed_yaml_is_a_topology_error():
     with pytest.raises(TopologyError) as info:
         load_topology("nodes: [")
     assert info.value.diagnostics[0].startswith("document: YAML parse failure:")
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("nodes: 5", "nodes: expected a list"),
+        ("nodes: {id: a}", "nodes: expected a list"),
+        ("links: {u: a, v: b}", "links: expected a list"),
+        ("links: a-b", "links: expected a list"),
+        ("constants: 5", "constants: expected a mapping"),
+        ("constants: [0.9, 0.2]", "constants: expected a mapping"),
+    ],
+)
+def test_malformed_sections_are_topology_errors(section, message):
+    doc = {
+        "nodes": "nodes: [{id: a}, {id: b}]",
+        "links": "links: [{u: a, v: b, p: 0.5}]",
+        "constants": "constants: {beta: 0.2}",
+    }
+    doc[section.split(":")[0]] = section
+    text = "\n".join([*doc.values(), "endpoints: {source: a, sink: b}"])
+    with pytest.raises(TopologyError) as info:
+        load_topology(text)
+    assert info.value.diagnostics == [message]
+
+
+def test_null_sections_read_as_empty():
+    t = load_topology(
+        "nodes: [{id: a}, {id: b}]\nlinks: [{u: a, v: b, p: 0.5}]\n"
+        "constants: null\nendpoints: {source: a, sink: b}\n"
+    )
+    assert t.constants == LossConstants()

@@ -12,6 +12,7 @@ from conftest import (
     directed_state,
     make_topology,
     random_instance,
+    reference_series_chains,
     solve_state,
     two_route_network,
 )
@@ -608,10 +609,17 @@ def support(counts):
     return int.from_bytes(bytes(1 if c else 0 for c in counts), "little")
 
 
+def raw(counts):
+    """The packed state of counts with every count as it is: byte i is
+    counts[i]. pack returns it only when no count is above 1 (it sets each
+    series chain to its least count)."""
+    return int.from_bytes(bytes(counts), "little")
+
+
 def strip(packer, counts):
     """packer._strip on a count list, as reference_strip answers: (True,
     the stripped counts), or (False, counts untouched) when the sink is cut."""
-    s = packer._strip(packer.pack(counts))
+    s = packer._strip(raw(counts))
     return (True, unpack(packer, s)) if s else (False, list(counts))
 
 
@@ -746,7 +754,7 @@ def assert_branch_matches(packer, counts):
         for gain, prefix, rest in reference_branch(packer, list(counts))
     ]
     expected = sorted(routes, key=lambda child: -child[0]) + [drop]
-    s = packer.pack(counts)
+    s = raw(counts)
     children = packer._branch(s, support(counts))
     assert [(gain, prefix, unpack(packer, rest)) for gain, prefix, rest in children] == expected
     assert unpack(packer, s) == counts
@@ -973,14 +981,37 @@ def reference_packing(ref, counts):
             return packing
 
 
+def chain_min(chains, counts):
+    """counts with every link of each chain at the chain's least count."""
+    counts = list(counts)
+    for chain in chains:
+        least = min(counts[l] for l in chain)
+        for l in chain:
+            counts[l] = least
+    return counts
+
+
+def chain_min_keys(chains, table):
+    """A reference memo (keyed by bytes(counts)) keyed on packed states with
+    every link of each chain at the chain's least count, as pack keys a
+    state; entries that merge must hold the same value."""
+    merged = {}
+    for key, v in table.items():
+        assert merged.setdefault(raw(chain_min(chains, key)), v) == v
+    return merged
+
+
 def assert_search_matches(t, states):
     """Runs value then best_packing on each state, on one packer and one
     exhaustive reference, and checks value reprs and packings after each,
     and that the bounded search took no more nodes and memo entries; at the
     end, that every packer memo entry is the reference's, and the path
-    rebuild memos entry by entry."""
+    rebuild memos entry by entry. The reference keys its memos on raw
+    counts, so they are compared at each chain's least count
+    (chain_min_keys over reference_series_chains)."""
     from qnetcap.capacity import topology_packer
 
+    chains = reference_series_chains(t)
     packer = topology_packer(t)
     ref = ReferencePacker(packer)
     for counts in states:
@@ -989,12 +1020,10 @@ def assert_search_matches(t, states):
         assert len(packer.memo) <= len(ref.memo)
         assert packer.best_packing(counts) == reference_packing(ref, counts)
         assert packer.nodes_explored <= ref.nodes_explored
-        assert len(packer._rebuild_memo) == len(ref._rebuild_memo)
-    memo = {int.from_bytes(key, "little"): v for key, v in ref.memo.items()}
+        assert len(packer._rebuild_memo) == len(chain_min_keys(chains, ref._rebuild_memo))
+    memo = chain_min_keys(chains, ref.memo)
     assert {key: memo.get(key) for key in packer.memo} == packer.memo
-    assert packer._rebuild_memo == {
-        int.from_bytes(key, "little"): v for key, v in ref._rebuild_memo.items()
-    }
+    assert packer._rebuild_memo == chain_min_keys(chains, ref._rebuild_memo)
 
 
 @pytest.mark.parametrize("name", datasets.DATASETS)
@@ -1015,3 +1044,78 @@ def test_search_matches_list_reference_on_deep_topologies():
     topologies += [two_deep_source_links(), three_deep_source_links()]
     for t in topologies:
         assert_search_matches(t, [list(t.capacities)])
+
+
+def raise_chains(chains, counts, rng):
+    """counts with each link of a multi-link chain but its first least one
+    raised, at random, by 1 to 3 pairs, so the chain's least count stays."""
+    counts = list(counts)
+    for chain in chains:
+        if len(chain) > 1:
+            keep = min(chain, key=lambda l: counts[l])
+            for l in chain:
+                if l != keep and rng.random() < 0.7:
+                    counts[l] += int(rng.integers(1, 4))
+    return counts
+
+
+def assert_chain_min_states_match(t, states):
+    """Each state holds some chain above its least count; pack sets the
+    chain to that count when some count is above 1, and value and
+    best_packing still equal the exhaustive reference's on the raw counts
+    (see assert_search_matches)."""
+    from qnetcap.capacity import topology_packer
+
+    chains = reference_series_chains(t)
+    packer = topology_packer(t)
+    for counts in states:
+        assert chain_min(chains, counts) != counts
+        packed = chain_min(chains, counts) if max(counts) > 1 else counts
+        assert packer.pack(counts) == raw(packed)
+    assert_search_matches(t, states)
+
+
+def test_chain_min_states_match_the_reference_on_five_node(five_node):
+    # the full state [2, 3, 2, 1, 4, 3, 3] holds chains (1, 4) at 3 and 4
+    # pairs and (2, 6) at 2 and 3
+    chains = reference_series_chains(five_node)
+    assert [chain for chain in chains if len(chain) > 1] == [(1, 4), (2, 6)]
+    rng = np.random.default_rng(STRIP_DRAW_SEED)
+    states = [list(five_node.capacities)]
+    states += [raise_chains(chains, five_node.capacities, rng) for _ in range(20)]
+    assert_chain_min_states_match(five_node, [s for s in states if chain_min(chains, s) != s])
+
+
+def test_chain_min_states_match_the_reference_on_abilene_mux2(abilene_mux2):
+    chains = reference_series_chains(abilene_mux2)
+    rng = np.random.default_rng(STRIP_DRAW_SEED)
+    states = [raise_chains(chains, s, rng) for s in drawn_states(abilene_mux2, 100)]
+    assert_chain_min_states_match(abilene_mux2, [s for s in states if chain_min(chains, s) != s])
+
+
+def test_chain_min_states_match_the_reference_on_random_mux_networks():
+    rng = np.random.default_rng(STRIP_DRAW_SEED)
+    checked = 0
+    for _ in range(200):
+        t, state = random_instance(rng, max_internal=5, max_edges=10, mux=True)
+        chains = reference_series_chains(t)
+        counts = raise_chains(chains, state.vector, rng)
+        if chain_min(chains, counts) != counts:
+            assert_chain_min_states_match(t, [counts])
+            checked += 1
+    assert checked > 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pack_keeps_counts_of_at_most_one_pair(data):
+    # no count above 1: byte i is counts[i], and the chain table is not built
+    from qnetcap.capacity import topology_packer
+
+    t = datasets.load_dataset(data.draw(st.sampled_from(datasets.DATASETS)))
+    packer = topology_packer(t)
+    n = len(packer.links)
+    counts = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    assert packer.pack(counts) == raw(counts)
+    assert packer.pack(np.asarray(counts, dtype=np.int64)) == raw(counts)
+    assert "chain_table" not in vars(packer)
