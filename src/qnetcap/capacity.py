@@ -2,9 +2,9 @@
 
 Three modes:
 
-  exact      the expectation over every state, by conditioning (below); with
-             per_state, by enumerating the mixed-radix state space, one
-             CSV row per state
+  exact      the expectation over every state, by conditioning (below);
+             per_state adds one CSV row per state of the mixed-radix state
+             space, enumerated on the same packer, and changes no result
   truncated  best-first sweep of the k most likely states, with bounds
              (unseen probability mass is bracketed by 0 and the all-pairs
              state's capacity)
@@ -29,11 +29,12 @@ a breadth-first search from the source, in a table that each job keeps
 beside its memo. A child that decides its variable at k > 0 pairs keeps
 the links of its parent: it takes the parent's order and is not stripped.
 
-Runs split their work into fixed jobs: chunks of states or samples, or the
-subtrees TREE_JOB_DEPTH levels below the root of the tree. Each job's
-terms are reduced with math.fsum, which is exactly rounded, and the job
-sums are combined with math.fsum again; since the jobs do not depend on
-the worker count, results are bit-identical for any number of workers.
+Runs split their work into fixed jobs: chunks of samples, or the subtrees
+TREE_JOB_DEPTH levels below the root of the tree. Each job's terms are
+reduced with math.fsum, which is exactly rounded, and the job sums are
+combined with math.fsum again; since the jobs do not depend on the worker
+count, results are bit-identical for any number of workers. Per-state
+rows are written in fixed chunks of states, in order, likewise.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import heapq
 import math
 import multiprocessing
 import os
-from array import array
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -110,10 +110,11 @@ def full_state_capacity(t: Topology) -> float:
 
 
 class _Engine:
-    """State evaluation for one topology, with a cache of sampled states."""
+    """Per-state rows and samples of one topology on the run's packer,
+    whose memo exact mode's tree fills first, with a cache of samples."""
 
-    def __init__(self, t: Topology):
-        self.packer = topology_packer(t)
+    def __init__(self, t: Topology, packer: PathPacker):
+        self.packer = packer
         self.pmfs = link_pmfs(t)
         self.bases = state_bases(t)
         self.slots = PairSlots(t)
@@ -197,18 +198,9 @@ def _substream(seed: int, i: int) -> np.random.Generator:
 
 
 def _exact_chunk(engine: _Engine, job: tuple[int, int]):
-    start, stop = job
-    packer = engine.packer
-    # packed doubles: a chunk's terms take 8 bytes each, not a float object
-    terms = array("d")
-    probs = array("d")
-    rows = []
-    for index, vec, prob in odometer(engine.bases, engine.pmfs, start, stop):
-        cap = packer.value(vec)
-        terms.append(prob * cap)
-        probs.append(prob)
-        rows.append(state_row(index, vec, prob, cap))
-    return (math.fsum(terms), math.fsum(probs)), csv_text(rows)
+    value = engine.packer.value
+    states = odometer(engine.bases, engine.pmfs, *job)
+    return None, csv_text(state_row(i, vec, prob, value(vec)) for i, vec, prob in states)
 
 
 def _sample_chunk(engine: _Engine, job: tuple[int, int, int, bool]):
@@ -423,9 +415,10 @@ def exact_capacity(
     """Exact capacity: sum of P(state) * capacity(state) over every state.
 
     The sum is taken over the conditioning tree of series chains, whose
-    subtrees TREE_JOB_DEPTH levels down are the jobs. With per_state (a
-    path or a text handle) every state is enumerated instead, and written
-    as one CSV row. budget bounds the number of states in either case.
+    subtrees TREE_JOB_DEPTH levels down are the jobs. per_state (a path or
+    a text handle) then gets one CSV row per state, enumerated on the
+    tree's packer; it changes no field of the report. budget bounds the
+    number of states.
     """
     n = num_states(t)
     if budget is not None and n > budget:
@@ -435,19 +428,16 @@ def exact_capacity(
         )
     packer = topology_packer(t)
     full_cap = packer.value(t.capacities)
-    if per_state is None:
-        build = partial(_ChainTree, t, packer)
-        prefixes = build().prefixes(TREE_JOB_DEPTH)
-        jobs = [(mass, node) for mass, node in prefixes if node is not None]
-        values = list(_run_chunks(build, [node for _, node in jobs], _tree_job, threads))
-        value = math.fsum(mass * v for (mass, _), v in zip(jobs, values))
-        covered = math.fsum(mass for mass, _ in prefixes)
-    else:
-        jobs = [(a, min(a + STATE_CHUNK, n)) for a in range(0, n, STATE_CHUNK)]
-        chunks = _run_chunks(partial(_Engine, t), jobs, _exact_chunk, threads)
-        parts = _drain(chunks, per_state, STATE_CSV_HEADER)
-        value = math.fsum(v for v, _ in parts)
-        covered = math.fsum(c for _, c in parts)
+    build = partial(_ChainTree, t, packer)
+    prefixes = build().prefixes(TREE_JOB_DEPTH)
+    jobs = [(mass, node) for mass, node in prefixes if node is not None]
+    values = list(_run_chunks(build, [node for _, node in jobs], _tree_job, threads))
+    value = math.fsum(mass * v for (mass, _), v in zip(jobs, values))
+    covered = math.fsum(mass for mass, _ in prefixes)
+    if per_state is not None:
+        chunks = [(a, min(a + STATE_CHUNK, n)) for a in range(0, n, STATE_CHUNK)]
+        rows = _run_chunks(partial(_Engine, t, packer), chunks, _exact_chunk, threads)
+        _drain(rows, per_state, STATE_CSV_HEADER)
     return CapacityReport(
         mode="exact",
         value=value,
@@ -530,13 +520,14 @@ def sampled_capacity(
     """
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
-    full_cap = full_state_capacity(t)
+    packer = topology_packer(t)
+    full_cap = packer.value(t.capacities)
     want_rows = per_state is not None
     jobs = [
         (a // SAMPLE_CHUNK, min(SAMPLE_CHUNK, samples - a), seed, want_rows)
         for a in range(0, samples, SAMPLE_CHUNK)
     ]
-    chunks = _run_chunks(partial(_Engine, t), jobs, _sample_chunk, threads)
+    chunks = _run_chunks(partial(_Engine, t, packer), jobs, _sample_chunk, threads)
     mean, stderr = _mean_stderr(_drain(chunks, per_state, STATE_CSV_HEADER), samples)
     return CapacityReport(
         mode="sampled",

@@ -186,10 +186,8 @@ def cmd_snapshot(args) -> int:
                 {"nodes": list(p.nodes), "delivered": p.delivered} for p in solution.paths
             ],
             "assignment": solution.assignment.to_document(),
-            "stats": {
-                "nodes_explored": solution.stats.nodes_explored,
-                "wall_time_s": solution.stats.wall_time_s,
-            },
+            # no wall time: the report reproduces apart from its timestamp
+            "stats": {"nodes_explored": solution.stats.nodes_explored},
         }
     if args.solver in ("oracle", "both"):
         try:

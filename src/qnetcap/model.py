@@ -219,6 +219,28 @@ def validate_topology(t: Topology) -> list[str]:
             diags.append(f"{loc}.p: must be in [0, 1], got {l.p}")
         if isinstance(l.c, bool) or not isinstance(l.c, int) or not 1 <= l.c <= MAX_LINK_PAIRS:
             diags.append(f"{loc}.c: must be an integer in [1, {MAX_LINK_PAIRS}], got {l.c!r}")
+    # link_index holds two ids per link, one for a self-loop, unless ids clash
+    if len(t.link_index) < sum(1 if l.u == l.v else 2 for l in t.links):
+        diags.extend(_link_id_clashes(t))
+    return diags
+
+
+def _link_id_clashes(t: Topology) -> list[str]:
+    """One diagnostic per link with an id ("u-v" or "v-u") that also names
+    an earlier link of another node pair."""
+    diags = []
+    first: dict[str, int] = {}  # each id -> the first link it names
+    for i, l in enumerate(t.links):
+        ids = (f"{l.u}-{l.v}", f"{l.v}-{l.u}")
+        clashes = {first[s]: s for s in ids if s in first and t.links[first[s]].key != l.key}
+        for j, name in sorted(clashes.items()):
+            o = t.links[j]
+            diags.append(
+                f"links[{i}] ({l.id}): id '{name}' names two links, ({l.u!r}, {l.v!r}) "
+                f"and links[{j}] ({o.u!r}, {o.v!r})"
+            )
+        for s in ids:
+            first.setdefault(s, i)
     return diags
 
 

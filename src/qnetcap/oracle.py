@@ -69,21 +69,22 @@ def enumerate_path_sets(
     def fits(i: int, used: frozenset) -> bool:
         return not (paths[i][2] & used)
 
-    def rec(i: int, chosen: list[int], used: frozenset) -> Iterator:
+    # depth first on an explicit stack (a path per level would overflow
+    # Python's recursion limit): path i taken, if it fits, before path i
+    # left out, so sets come in the order of the recursive enumeration
+    stack: list[tuple[int, tuple[int, ...], frozenset]] = [(0, (), frozenset())]
+    while stack:
+        i, chosen, used = stack.pop()
         if i == n:
             if all(not fits(j, used) for j in range(n)):
                 yield (
                     tuple(paths[j][0] for j in chosen),
                     sum(paths[j][1] for j in chosen),
                 )
-            return
+            continue
+        stack.append((i + 1, chosen, used))
         if fits(i, used):
-            chosen.append(i)
-            yield from rec(i + 1, chosen, used | paths[i][2])
-            chosen.pop()
-        yield from rec(i + 1, chosen, used)
-
-    yield from rec(0, [], frozenset())
+            stack.append((i + 1, chosen + (i,), used | paths[i][2]))
 
 
 def brute_force_capacity(g: DirectedSnapshot, max_edges: int = DEFAULT_MAX_EDGES) -> float:

@@ -228,16 +228,26 @@ class PairSlots:
         return np.add.reduceat(hits, self.offsets, axis=-1)
 
 
-def splitter_id(u: str, v: str, k: int) -> str:
+def splitter_id(u: str, v: str, k: int, taken: set[str]) -> str:
+    """Id of the k-th splitter of link {u, v}: "a__b__k" with a <= b, then
+    "_" until neither the id nor a spelling of its two links is in taken
+    (the node ids and link spellings in use), to which they are added."""
     a, b = (u, v) if u <= v else (v, u)
-    return f"{a}__{b}__{k}"
+    mid = f"{a}__{b}__{k}"
+    while True:
+        names = (mid, f"{u}-{mid}", f"{mid}-{u}", f"{mid}-{v}", f"{v}-{mid}")
+        if taken.isdisjoint(names):
+            taken.update(names)
+            return mid
+        mid += "_"
 
 
 def to_unit_capacity(t: Topology, s: SnapshotState) -> tuple[Topology, SnapshotState]:
     """Rewrites a multiplexed state as an equivalent unit-capacity one.
 
     Each realized pair of a link holding two or more pairs becomes its own
-    two-hop route through a fresh unit-gain splitter node; links holding at
+    two-hop route through a fresh unit-gain splitter node (named by
+    splitter_id, apart from every node and link id); links holding at
     most one pair pass through unchanged. A state with no such link is
     already unit-count and comes back as it is: the very (t, s) passed in.
     Otherwise the returned topology is a state-level construction: its link
@@ -247,6 +257,7 @@ def to_unit_capacity(t: Topology, s: SnapshotState) -> tuple[Topology, SnapshotS
     if max(s.vector, default=0) <= 1:
         return t, s
     nodes = list(t.nodes)
+    taken = {n.id for n in nodes} | set(t.link_index)
     links: list[LinkSpec] = []
     vec_entries: list[tuple[str, int]] = []
     for link, count in zip(t.links, s.vector):
@@ -255,7 +266,7 @@ def to_unit_capacity(t: Topology, s: SnapshotState) -> tuple[Topology, SnapshotS
             vec_entries.append((links[-1].id, count))
             continue
         for k in range(1, count + 1):
-            mid = splitter_id(link.u, link.v, k)
+            mid = splitter_id(link.u, link.v, k, taken)
             nodes.append(NodeSpec(mid, 1.0, _role_of(mid, t.source, t.sink)))
             for a, b in ((link.u, mid), (mid, link.v)):
                 links.append(LinkSpec(a, b, p=link.resolved_p(t.constants), c=1))

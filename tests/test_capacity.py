@@ -2,9 +2,9 @@
 
 import csv
 import dataclasses
+import functools
 import io
 import math
-import os
 
 import numpy as np
 import pytest
@@ -324,30 +324,75 @@ def test_report_as_dict_round_trips(five_node):
     assert "stderr" not in exact_doc and "seed" not in exact_doc
 
 
+class RowSums:
+    """Write-only per-state row sink: as each chunk of CSV text arrives,
+    sums its rows' probability * capacity and probability, parsed from
+    their reprs, so that no row is kept."""
+
+    def __init__(self):
+        self.terms, self.probs, self.rows, self.last = [], [], 0, None
+
+    def write(self, text):
+        rows = [r for r in csv.reader(io.StringIO(text)) if r[0] != "state_index"]
+        if rows:
+            probs = [float(r[2]) for r in rows]
+            caps = [float(r[3]) for r in rows]
+            self.terms.append(math.fsum(p * c for p, c in zip(probs, caps)))
+            self.probs.append(math.fsum(probs))
+            self.rows += len(rows)
+            self.last = caps[-1]
+
+    @property
+    def value(self):
+        return math.fsum(self.terms)
+
+    @property
+    def covered(self):
+        return math.fsum(self.probs)
+
+
 def enumerated(t, threads=1):
-    """Exact capacity by the per-state enumerator, rows discarded."""
-    with open(os.devnull, "w", encoding="utf-8") as sink:
-        return exact_capacity(t, threads=threads, budget=None, per_state=sink)
+    """The report of a per-state run of t and the sums of its rows."""
+    rows = RowSums()
+    return exact_capacity(t, threads=threads, budget=None, per_state=rows), rows
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "five_node",
-        "abilene",
-        pytest.param("surfnet", marks=pytest.mark.slow),
-        pytest.param("nsfnet", marks=pytest.mark.slow),
-        pytest.param("abilene_mux2", marks=pytest.mark.nightly),
-    ],
-)
+@functools.cache
+def enumerated_dataset(name, threads):
+    """enumerated() of a bundled dataset, once per session: the tests
+    below share these runs, which take up to a minute each."""
+    return enumerated(datasets.load_dataset(name), threads)
+
+
+DATASET_PARAMS = [
+    "five_node",
+    "abilene",
+    pytest.param("surfnet", marks=pytest.mark.slow),
+    pytest.param("nsfnet", marks=pytest.mark.slow),
+    pytest.param("abilene_mux2", marks=pytest.mark.nightly),
+]
+
+
+@pytest.mark.parametrize("name", DATASET_PARAMS)
 def test_tree_matches_enumerator_on_datasets(name):
     t = datasets.load_dataset(name)
     tree = exact_capacity(t, threads=1, budget=None)
-    oracle = enumerated(t, threads=2)
-    assert tree.value == pytest.approx(oracle.value, rel=1e-12, abs=0)
+    _, rows = enumerated_dataset(name, 2)
+    assert tree.value == pytest.approx(rows.value, rel=1e-12, abs=0)
     assert tree.covered_probability == pytest.approx(1.0, abs=1e-12)
-    assert tree.full_state_capacity == oracle.full_state_capacity
-    assert tree.states_evaluated == oracle.states_evaluated == num_states(t)
+    assert rows.covered == pytest.approx(1.0, abs=1e-12)
+    # the last row is the state with every pair present
+    assert tree.full_state_capacity == rows.last
+    assert tree.states_evaluated == rows.rows == num_states(t)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", DATASET_PARAMS)
+def test_per_state_does_not_change_the_report(name, threads):
+    # the rows are an export beside the tree: every field, bit for bit
+    report, _ = enumerated_dataset(name, threads)
+    t = datasets.load_dataset(name)
+    assert report == exact_capacity(t, threads=threads, budget=None)
 
 
 def random_mux_networks():
@@ -363,7 +408,7 @@ def random_mux_networks():
 
 def test_tree_matches_enumerator_on_random_networks(monkeypatch):
     for t in random_mux_networks():
-        oracle = enumerated(t).value
+        oracle = enumerated(t)[1].value
         # the default jobs, then the whole tree as one job under one memo
         for depth in (capacity.TREE_JOB_DEPTH, 0):
             monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
@@ -380,7 +425,7 @@ def test_tree_skips_impossible_counts():
     caps = {("s", "a"): 2, ("a", "t"): 3, ("a", "b"): 2}
     t = make_topology({"a": 0.6, "b": 0.8}, pairs, p=p, caps=caps)
     assert exact_capacity(t, threads=1).value == pytest.approx(
-        enumerated(t).value, rel=1e-12, abs=0
+        enumerated(t)[1].value, rel=1e-12, abs=0
     )
 
 

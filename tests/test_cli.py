@@ -45,6 +45,23 @@ def test_capacity_topology_from_file(tmp_path, capsys):
     assert "capacity:             0.3" in out
 
 
+def test_capacity_link_id_naming_two_links_is_an_error(tmp_path, capsys):
+    # with '-' in node ids, links (a-b, t) and (a, b-t) are both "a-b-t"
+    path = tmp_path / "net.yaml"
+    path.write_text(
+        "nodes: [{id: s}, {id: a, q: 0.5}, {id: a-b, q: 0.5}, {id: b-t, q: 0.5}, {id: t}]\n"
+        "links: [{u: a-b, v: t, p: 0.3}, {u: a, v: b-t, p: 0.3}, {u: s, v: a, p: 0.3},\n"
+        "        {u: s, v: a-b, p: 0.3}, {u: b-t, v: t, p: 0.3}]\n"
+        "endpoints: {source: s, sink: t}\n"
+    )
+    code, out, err = run(capsys, "capacity", "--topology", str(path), "--threads", "1")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: links[3] (a-b-t): id 'a-b-t' names two links, ('a-b', 't') "
+        "and links[0] ('a', 'b-t')\n"
+    )
+
+
 def test_capacity_malformed_topology_file_is_an_error(tmp_path, capsys):
     path = tmp_path / "net.yaml"
     path.write_text("nodes: 5\nlinks: [{u: s, v: t, p: 0.3}]\nendpoints: {source: s, sink: t}\n")
@@ -95,26 +112,48 @@ def test_capacity_rejects_negative_thread_count(capsys):
     assert "thread count must be >= 0, got -1" in err
 
 
-def test_capacity_report_file_and_reproducibility(tmp_path, capsys):
-    out1 = tmp_path / "a.yaml"
-    out2 = tmp_path / "b.yaml"
-    for path in (out1, out2):
-        code, _, _ = run(
-            capsys, "capacity", "--topology", "five_node", "--threads", "1",
-            "--out", str(path),
-        )
-        assert code == 0
+def reports_twice(tmp_path, capsys, *argv):
+    """The texts of two --out reports of one command line, each checked
+    to be the same bytes apart from the manifest timestamp line."""
     docs = []
-    for path in (out1, out2):
-        text = path.read_text()
+    for name in ("a.yaml", "b.yaml"):
+        path = tmp_path / name
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        docs.append(path.read_text())
+    strip = lambda text: [l for l in text.splitlines() if not l.startswith("  timestamp:")]
+    assert strip(docs[0]) == strip(docs[1])
+    return docs
+
+
+def test_capacity_report_file_and_reproducibility(tmp_path, capsys):
+    argv = ("capacity", "--topology", "five_node", "--threads", "1")
+    for text in reports_twice(tmp_path, capsys, *argv):
         doc = yaml.safe_load(text)
         assert doc["report"]["value"] == pytest.approx(1.2121, abs=5e-4)
         assert doc["manifest"]["command"] == "capacity"
         assert doc["manifest"]["topology_digest"]
-        docs.append(text)
-    # identical bytes apart from the manifest timestamp line
-    strip = lambda text: [l for l in text.splitlines() if not l.startswith("  timestamp:")]
-    assert strip(docs[0]) == strip(docs[1])
+
+
+def test_snapshot_report_file_and_reproducibility(tmp_path, capsys):
+    argv = ("snapshot", "--topology", "five_node", "--solver", "both")
+    for text in reports_twice(tmp_path, capsys, *argv):
+        doc = yaml.safe_load(text)
+        assert doc["solution"]["objective"] == doc["oracle_objective"] == pytest.approx(3.415)
+        assert doc["solution"]["stats"]["nodes_explored"] > 0
+        assert doc["manifest"]["command"] == "snapshot"
+    # the wall time stays in the text output
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "wall time:" in out
+
+
+def test_verify_report_file_and_reproducibility(tmp_path, capsys):
+    argv = ("verify", "--topology", "demo_c6", "--assignment", "demo_c6_bad")
+    for text in reports_twice(tmp_path, capsys, *argv):
+        doc = yaml.safe_load(text)
+        assert doc["feasible"] is False
+        assert {v["constraint"] for v in doc["violations"]} == {"C6"}
+        assert doc["manifest"]["command"] == "verify"
 
 
 def test_capacity_per_state_csv(tmp_path, capsys):
@@ -128,6 +167,15 @@ def test_capacity_per_state_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5760
     assert set(rows[0]) == {"state_index", "state_counts", "probability", "capacity"}
+
+
+def test_capacity_per_state_does_not_change_the_report(tmp_path, capsys):
+    argv = ("capacity", "--topology", "five_node", "--threads", "1")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, with_rows, _ = run(capsys, *argv, "--per-state", str(tmp_path / "states.csv"))
+    assert code == 0
+    assert with_rows == plain
 
 
 def test_capacity_sampled(capsys):

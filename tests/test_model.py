@@ -226,8 +226,44 @@ endpoints: {source: a, sink: b}
 def test_validate_flags_duplicate_links():
     nodes = (NodeSpec("s", role="source"), NodeSpec("t", role="sink"))
     links = (LinkSpec("s", "t", p=0.5), LinkSpec("t", "s", p=0.4))
-    with pytest.raises(TopologyError, match="duplicate link"):
+    with pytest.raises(TopologyError, match="duplicate link") as exc:
         Topology(nodes, links, "s", "t")
+    # its ids name the other link too, but it is reported once, as a duplicate
+    assert len(exc.value.diagnostics) == 1
+
+
+def with_endpoints(*internal):
+    """s, t and internal nodes of the given ids."""
+    ends = (NodeSpec("s", role="source"), NodeSpec("t", role="sink"))
+    return ends + tuple(NodeSpec(n, 0.5) for n in internal)
+
+
+@pytest.mark.parametrize(
+    "pairs, name, first, second",
+    [
+        # u-v of one link is u-v of the other
+        ([("a-b", "t"), ("a", "b-t"), ("s", "a"), ("s", "a-b")], "a-b-t",
+         "('a', 'b-t')", "('a-b', 't')"),
+        # v-u of one link is u-v of the other
+        ([("t", "a-b"), ("b", "t-a"), ("s", "b"), ("s", "a-b")], "t-a-b",
+         "('b', 't-a')", "('t', 'a-b')"),
+    ],
+)
+def test_validate_flags_link_ids_naming_two_links(pairs, name, first, second):
+    nodes = with_endpoints(*sorted({n for pair in pairs for n in pair} - {"s", "t"}))
+    links = tuple(LinkSpec(u, v, p=0.5) for u, v in pairs)
+    with pytest.raises(TopologyError) as exc:
+        Topology(nodes, links, "s", "t")
+    (diag,) = exc.value.diagnostics
+    assert f"id '{name}' names two links" in diag
+    assert first in diag and second in diag
+
+
+def test_dashed_node_ids_with_distinct_link_ids_are_accepted():
+    links = (LinkSpec("a-b", "t", p=0.5), LinkSpec("s", "a-b", p=0.5), LinkSpec("s", "b", p=0.5))
+    t = Topology(with_endpoints("a-b", "b"), links, "s", "t")
+    assert validate_topology(t) == []
+    assert t.link_index["t-a-b"] == t.link_ids.index("a-b-t")
 
 
 def test_validate_clean_dataset_is_empty(abilene):

@@ -1,6 +1,8 @@
 """Brute-force reference: hand-checked sets, maximality, size guard."""
 
 import itertools
+import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -116,3 +118,50 @@ def test_size_guard_refuses_large_instances(abilene):
 def test_size_guard_override(abilene):
     g = directed_state(abilene)
     assert brute_force_capacity(g, max_edges=20) == pytest.approx(1.607, abs=5e-4)
+
+
+def recursive_path_sets(g):
+    """enumerate_path_sets as it was, one recursion level per path."""
+    paths = _all_simple_paths(g)
+    n = len(paths)
+
+    def rec(i, chosen, used):
+        if i == n:
+            if all(paths[j][2] & used for j in range(n)):
+                yield tuple(paths[j][0] for j in chosen), sum(paths[j][1] for j in chosen)
+            return
+        if not paths[i][2] & used:
+            yield from rec(i + 1, chosen + [i], used | paths[i][2])
+        yield from rec(i + 1, chosen, used)
+
+    return list(rec(0, [], frozenset())) if paths else []
+
+
+def test_path_sets_come_in_the_recursive_order():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        g = directed_state(*random_instance(rng, max_internal=4, max_edges=9, mux=True))
+        assert list(enumerate_path_sets(g)) == recursive_path_sets(g)
+
+
+def bridged_block(size):
+    """s joined by one link to b0 of a complete block of `size` nodes, t
+    among them: every path crosses the bridge s-b0."""
+    block = [f"b{i}" for i in range(size - 1)] + ["t"]
+    pairs = [("s", "b0")] + list(itertools.combinations(block, 2))
+    return make_topology({b: 0.9 for b in block[:-1]}, pairs)
+
+
+def test_path_sets_do_not_recurse_per_path():
+    # 326 paths, each a maximal set of its own as all share the bridge;
+    # the enumeration once nested a generator per path
+    g = directed_state(bridged_block(7))
+    assert len(_all_simple_paths(g)) == 326
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
+    try:
+        sets = list(enumerate_path_sets(g, max_edges=40))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sets) == 326 and all(len(paths) == 1 for paths, _ in sets)
+    assert max(value for _, value in sets) == pytest.approx(0.9, abs=0)

@@ -180,6 +180,35 @@ def test_unit_transform_count_three_link():
     assert all(degree[n.id] == 2 for n in splitters)
 
 
+@pytest.mark.parametrize(
+    "pairs, mux",
+    [
+        # a node holds the first splitter's id
+        ([("s", "t"), ("s", "s__t__1"), ("s__t__1", "t")], ("s", "t")),
+        # a link holds the id s-a-b__s__1 of the first splitter's link to s
+        ([("s", "a-b"), ("a-b", "t"), ("s", "s-a"), ("s-a", "b__s__1"), ("b__s__1", "t")],
+         ("s", "a-b")),
+    ],
+)
+def test_unit_transform_splitter_ids_avoid_node_and_link_ids(pairs, mux):
+    from qnetcap.capacity import topology_packer
+    from qnetcap.flowcheck import check_assignment
+    from qnetcap.solver import solve_snapshot
+
+    q = {n: 0.9 for pair in pairs for n in pair if n not in ("s", "t")}
+    t = make_topology(q, pairs, p=0.5, caps={mux: 2})
+    state = SnapshotState.full(t)
+    t2, s2 = to_unit_capacity(t, state)
+    splitters = [n.id for n in t2.nodes[len(t.nodes):]]
+    assert len(splitters) == 2 and not set(splitters) & set(t.node_by_id)
+    assert splitters == [n.id for n in to_unit_capacity(t, state)[0].nodes[len(t.nodes):]]
+    assert set(s2.vector) == {1}  # each link id addresses its own link
+    g = to_directed(t2, s2)
+    solution = solve_snapshot(g)
+    assert solution.objective == topology_packer(t).value(state.vector)
+    assert check_assignment(g, solution.assignment).feasible
+
+
 def test_unit_transform_full_five_node(five_node):
     s = SnapshotState.full(five_node)
     t2, s2 = to_unit_capacity(five_node, s)
