@@ -110,8 +110,8 @@ def full_state_capacity(t: Topology) -> float:
 
 
 class _Engine:
-    """Per-state rows and samples of one topology on the run's packer,
-    whose memo exact mode's tree fills first, with a cache of samples."""
+    """Rows and samples on the run's packer, with a cache of samples;
+    exact rows reuse the tree's memo only if it ran in this process."""
 
     def __init__(self, t: Topology, packer: PathPacker):
         self.packer = packer
@@ -416,9 +416,9 @@ def exact_capacity(
 
     The sum is taken over the conditioning tree of series chains, whose
     subtrees TREE_JOB_DEPTH levels down are the jobs. per_state (a path or
-    a text handle) then gets one CSV row per state, enumerated on the
-    tree's packer; it changes no field of the report. budget bounds the
-    number of states.
+    a text handle) then gets one CSV row per state, enumerated on the run's
+    packer (see _Engine); it changes no field of the report. budget bounds
+    the number of states.
     """
     n = num_states(t)
     if budget is not None and n > budget:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import math
 
@@ -327,16 +328,30 @@ def test_report_as_dict_round_trips(five_node):
 class RowSums:
     """Write-only per-state row sink: as each chunk of CSV text arrives,
     sums its rows' probability * capacity and probability, parsed from
-    their reprs, so that no row is kept."""
+    their reprs, and hashes the text, so that no row is kept.
 
-    def __init__(self):
+    Given check, a packer that no exact run has touched, it also asserts
+    that each row's capacity is check.value of the row's counts: a run with
+    one worker writes its rows on the packer whose memo its tree filled, so
+    without this the sums would repeat the tree's leaf optima rather than
+    test them.
+    """
+
+    def __init__(self, check=None):
+        self.check = check
         self.terms, self.probs, self.rows, self.last = [], [], 0, None
+        self.digest = hashlib.sha256()
 
     def write(self, text):
+        self.digest.update(text.encode())
         rows = [r for r in csv.reader(io.StringIO(text)) if r[0] != "state_index"]
         if rows:
             probs = [float(r[2]) for r in rows]
             caps = [float(r[3]) for r in rows]
+            if self.check is not None:
+                value = self.check.value
+                for row, cap in zip(rows, caps):
+                    assert cap == value([int(c) for c in row[1].split(";")]), row
             self.terms.append(math.fsum(p * c for p, c in zip(probs, caps)))
             self.probs.append(math.fsum(probs))
             self.rows += len(rows)
@@ -351,17 +366,20 @@ class RowSums:
         return math.fsum(self.probs)
 
 
-def enumerated(t, threads=1):
-    """The report of a per-state run of t and the sums of its rows."""
-    rows = RowSums()
+def enumerated(t, threads=1, check=True):
+    """The report of a per-state run of t and the sums of its rows, each
+    row checked, if check, on a fresh packer of t."""
+    rows = RowSums(topology_packer(t) if check else None)
     return exact_capacity(t, threads=threads, budget=None, per_state=rows), rows
 
 
 @functools.cache
 def enumerated_dataset(name, threads):
     """enumerated() of a bundled dataset, once per session: the tests
-    below share these runs, which take up to a minute each."""
-    return enumerated(datasets.load_dataset(name), threads)
+    below share these runs, which take up to a minute each. Only the rows
+    of two workers are checked on a fresh packer (in this process, while
+    the workers write them); the one-worker rows must hash the same."""
+    return enumerated(datasets.load_dataset(name), threads, check=threads > 1)
 
 
 DATASET_PARAMS = [
@@ -390,9 +408,11 @@ def test_tree_matches_enumerator_on_datasets(name):
 @pytest.mark.parametrize("name", DATASET_PARAMS)
 def test_per_state_does_not_change_the_report(name, threads):
     # the rows are an export beside the tree: every field, bit for bit
-    report, _ = enumerated_dataset(name, threads)
+    report, rows = enumerated_dataset(name, threads)
     t = datasets.load_dataset(name)
     assert report == exact_capacity(t, threads=threads, budget=None)
+    # and the same bytes at any worker count, checked ones included
+    assert rows.digest.digest() == enumerated_dataset(name, 2)[1].digest.digest()
 
 
 def random_mux_networks():
