@@ -2,16 +2,18 @@
 
 Datasets are YAML topology files shipped as package data. The demo_*
 fixtures are small networks paired with hand-built infeasible assignments,
-each crafted so that exactly one constraint family catches the flaw;
-builder functions parameterize their small-gain nodes for tests.
+each crafted so that exactly one constraint family catches the flaw. The
+builders read the bundled YAML; c6_demo and c7_demo override the q of their
+small-gain nodes, whose gain c6_demo_assignment's flows scale with.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from importlib import resources
 
 from .flowcheck import FlowAssignment, load_assignment
-from .model import LinkSpec, NodeSpec, Topology, _role_of, load_topology
+from .model import Topology, load_topology
 
 DATASETS = ("five_node", "abilene", "abilene_mux2", "nsfnet", "surfnet")
 FIXTURE_TOPOLOGIES = ("demo_c6", "demo_c7", "demo_c9")
@@ -38,21 +40,14 @@ def load_fixture_assignment(name: str) -> FlowAssignment:
     return load_assignment(dataset_text(name))
 
 
-def _demo_topology(qmap: dict[str, float], pairs: list[tuple[str, str]]) -> Topology:
-    names = ["s", *sorted(qmap), "t"]
-    nodes = tuple(
-        NodeSpec(n, qmap.get(n, 1.0), _role_of(n, "s", "t")) for n in names
-    )
-    links = tuple(LinkSpec(u, v, p=1.0) for u, v in pairs)
-    return Topology(nodes, links, "s", "t")
+def _with_gains(name: str, qmap: dict[str, float]) -> Topology:
+    t = load_dataset(name)
+    return replace(t, nodes=[replace(n, q=qmap.get(n.id, n.q)) for n in t.nodes])
 
 
 def c6_demo(small_gain: float = 0.1) -> Topology:
     """Network where dropping C6 admits two non-disjoint unit flows."""
-    return _demo_topology(
-        {"1": small_gain, "2": 1.0, "3": 1.0, "4": small_gain},
-        [("s", "1"), ("s", "2"), ("1", "3"), ("2", "3"), ("2", "4"), ("3", "t"), ("4", "t")],
-    )
+    return _with_gains("demo_c6", {"1": small_gain, "4": small_gain})
 
 
 def c6_demo_assignment(small_gain: float = 0.1) -> FlowAssignment:
@@ -81,50 +76,12 @@ def c6_demo_assignment(small_gain: float = 0.1) -> FlowAssignment:
 
 def c7_demo(small_gain: float = 0.01) -> Topology:
     """Network where dropping C7 lets two half flows merge at node 3."""
-    return _demo_topology(
-        {"1": 0.5, "2": 0.5, "3": 1.0, "4": small_gain},
-        [("s", "1"), ("s", "2"), ("1", "3"), ("2", "3"), ("3", "4"), ("3", "t"), ("4", "t")],
-    )
+    return _with_gains("demo_c7", {"4": small_gain})
 
 
 def c7_demo_assignment() -> FlowAssignment:
-    return FlowAssignment(
-        flows={
-            ("s", "1"): 1.0,
-            ("1", "3"): 0.5,
-            ("3", "t"): 1.0,
-            ("s", "2"): 1.0,
-            ("2", "3"): 0.5,
-        },
-        matchings={
-            ("s", "1", "3"): 1,
-            ("1", "3", "t"): 1,
-            ("s", "2", "3"): 1,
-            ("2", "3", "4"): 1,
-        },
-    )
-
-
-def c9_demo() -> Topology:
-    """Network where dropping C9 lets node 1 emit more than it receives."""
-    return _demo_topology(
-        {"1": 1.0, "2": 1.0, "3": 1.0},
-        [("s", "1"), ("1", "2"), ("1", "3"), ("2", "t"), ("3", "t")],
-    )
+    return load_fixture_assignment("demo_c7_bad")
 
 
 def c9_demo_assignment() -> FlowAssignment:
-    return FlowAssignment(
-        flows={
-            ("s", "1"): 1.0,
-            ("1", "3"): 1.0,
-            ("3", "t"): 1.0,
-            ("1", "2"): 1.0,
-            ("2", "t"): 1.0,
-        },
-        matchings={
-            ("s", "1", "3"): 1,
-            ("1", "3", "t"): 1,
-            ("1", "2", "t"): 1,
-        },
-    )
+    return load_fixture_assignment("demo_c9_bad")
