@@ -81,14 +81,16 @@ def _parse_state(t: Topology, spec: str) -> SnapshotState:
         part = part.strip()
         if not part:
             continue
-        if "=" in part:
-            lid, _, raw = part.partition("=")
-            count = int(raw)
-        else:
-            lid, count = part, 1
+        lid, eq, raw = part.partition("=")
         lid = lid.strip()
         if lid not in t.link_index:
             raise TopologyError([f"state: unknown link '{lid}'"])
+        try:
+            count = int(raw) if eq else 1
+        except ValueError:
+            raise TopologyError(
+                [f"state: count '{raw.strip()}' on link '{lid}' is not an integer"]
+            ) from None
         canonical = t.link_ids[t.link_index[lid]]
         counts[canonical] = count
     state = SnapshotState.from_counts(t, counts)

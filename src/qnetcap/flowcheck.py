@@ -55,14 +55,14 @@ class FlowAssignment:
     """Explicit variable assignment: arc flows and matching indicators."""
 
     flows: Mapping[Arc, float]
-    matchings: Mapping[Triple, int] = field(default_factory=dict)
+    matchings: Mapping[Triple, float] = field(default_factory=dict)
 
     @staticmethod
     def from_document(document: Mapping) -> "FlowAssignment":
         """The assignment of a parsed document (see to_document); a
         malformed section or row is a ValueError that names it."""
         flows = dict(_rows(document, "flows", ("from", "to"), float))
-        matchings = dict(_rows(document, "matchings", ("i", "j", "k"), int))
+        matchings = dict(_rows(document, "matchings", ("i", "j", "k"), float))
         return FlowAssignment(flows, matchings)
 
     def to_document(self) -> dict:
@@ -93,7 +93,7 @@ def _rows(document: Mapping, section: str, keys: tuple[str, ...], kind: type):
             raise ValueError(f"{section}[{i}]: missing {', '.join(missing)}")
         try:
             value = kind(row["value"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{section}[{i}].value: not a number ({row['value']!r})") from None
         yield tuple(str(row[key]) for key in keys), value
 

@@ -251,6 +251,15 @@ def test_snapshot_rejects_negative_count(capsys):
     assert "exceeds" not in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "1.5", ""])
+def test_snapshot_rejects_non_integer_count(capsys, raw):
+    code, _, err = run(
+        capsys, "snapshot", "--topology", "abilene", "--state", f"s-1={raw}"
+    )
+    assert code == 1
+    assert err == f"error: state: count '{raw}' on link 's-1' is not an integer\n"
+
+
 def test_verify_demo_c6_partial_constraints(capsys):
     code, out, _ = run(
         capsys, "verify", "--topology", "demo_c6", "--assignment", "demo_c6_bad",
@@ -290,6 +299,27 @@ def test_verify_assignment_file(tmp_path, capsys):
     assert code == 0
     assert "objective: 0" in out
     assert "FEASIBLE" in out
+
+
+def test_verify_flags_a_fractional_matching(tmp_path, capsys):
+    path = tmp_path / "half.yaml"
+    path.write_text(
+        "flows:\n"
+        "  - {from: s, to: '1', value: 1.0}\n"
+        "  - {from: '1', to: '3', value: 1.0}\n"
+        "  - {from: '3', to: t, value: 1.0}\n"
+        "matchings:\n"
+        "  - {i: s, j: '1', k: '3', value: 0.5}\n"
+        "  - {i: '1', j: '3', k: t, value: 1}\n"
+    )
+    code, out, _ = run(
+        capsys, "verify", "--topology", "demo_c9", "--assignment", str(path)
+    )
+    assert code == 0
+    assert "BOUNDS: FAIL" in out
+    assert "BOUNDS at ('s', '1', '3'): residual 0.5" in out
+    assert "C8 at ('s', '1'): residual 0.5" in out
+    assert "INFEASIBLE" in out
 
 
 def test_simulate_chain(capsys):

@@ -81,6 +81,25 @@ def test_fixture_files_match_builders():
         assert from_file.matchings == built.matchings
 
 
+def test_demo_builders_read_the_bundled_networks():
+    assert datasets.c6_demo() == datasets.load_dataset("demo_c6")
+    assert datasets.c7_demo() == datasets.load_dataset("demo_c7")
+
+
+@pytest.mark.parametrize(
+    "name, builder, named",
+    [("demo_c6", datasets.c6_demo, {"1", "4"}), ("demo_c7", datasets.c7_demo, {"4"})],
+)
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.2, 1.0])
+def test_demo_builders_override_only_the_named_gains(name, builder, named, eps):
+    fixture, built = datasets.load_dataset(name), builder(eps)
+    assert (built.links, built.source, built.sink) == (fixture.links, fixture.source, fixture.sink)
+    assert built.constants == fixture.constants
+    assert [(n.id, n.role) for n in built.nodes] == [(n.id, n.role) for n in fixture.nodes]
+    for n, m in zip(built.nodes, fixture.nodes):
+        assert n.q == (eps if n.id in named else m.q), n.id
+
+
 def test_zero_assignment_feasible_everywhere(five_node):
     g = directed_state(five_node, SnapshotState.from_counts(five_node, {"0-4": 1, "0-1": 1}))
     report = check_assignment(g, FlowAssignment({}, {}))
@@ -176,6 +195,28 @@ def test_assignment_document_round_trip():
 def test_malformed_assignment_documents_are_value_errors(text, message):
     with pytest.raises(ValueError, match=message):
         load_assignment(text + "\n")
+
+
+HALF_MATCHING = """
+flows:
+  - {from: s, to: "1", value: 1.0}
+  - {from: "1", to: "3", value: 1.0}
+  - {from: "3", to: t, value: 1.0}
+matchings:
+  - {i: s, j: "1", k: "3", value: 0.5}
+  - {i: "1", j: "3", k: t, value: 1}
+"""
+
+
+def test_fractional_matchings_are_kept_for_bounds():
+    a = load_assignment(HALF_MATCHING)
+    assert a.matchings == {("s", "1", "3"): 0.5, ("1", "3", "t"): 1}
+    g = directed_state(datasets.load_dataset("demo_c9"))
+    report = check_assignment(g, a, active={"BOUNDS"})
+    assert report.violations == (Violation("BOUNDS", ("s", "1", "3"), 0.5),)
+    assert load_assignment("matchings: [{i: a, j: b, k: c, value: 2.7}]").matchings == {
+        ("a", "b", "c"): 2.7
+    }
 
 
 def test_assignment_sections_may_be_absent_or_null():
