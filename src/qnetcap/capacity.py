@@ -62,7 +62,7 @@ from .snapshot import (
     state_bases,
     state_row,
 )
-from .solver import PathPacker, index_network, series_chains  # noqa: F401 (re-exported)
+from .solver import PathPacker, index_network
 
 EXACT_STATE_BUDGET = 1 << 22
 STATE_CHUNK = 1 << 14  # states per reduction chunk (fixed: determinism contract)
@@ -122,33 +122,33 @@ class _Engine:
 
 
 _RAW_CACHE_CAP = 1 << 19
-_WORKER = None  # this worker process's state, built once by _init_worker
+_WORKER = None  # the run's state, handed to this worker process by _init_worker
 
 
-def _init_worker(build) -> None:
+def _init_worker(state) -> None:
     global _WORKER
-    _WORKER = build()
+    _WORKER = state
 
 
 def _on_worker(fn, job):
     return fn(_WORKER, job)
 
 
-def _run_chunks(build, jobs: Sequence, fn, threads: int) -> Iterator:
-    """fn(state, job) for each job in job order, state = build() once per
-    worker; threads = 0 takes every core, and more than one worker runs in
-    a fork pool. A negative thread count is refused at once."""
+def _run_chunks(state, jobs: Sequence, fn, threads: int) -> Iterator:
+    """fn(state, job) for each job in job order; threads = 0 takes every
+    core, and more than one worker runs in a fork pool, whose workers
+    inherit state as built. A negative thread count is refused at once."""
     if threads < 0:
         raise ValueError(f"thread count must be >= 0, got {threads}")
     workers = threads or os.cpu_count() or 1
     if workers <= 1 or len(jobs) <= 1:
-        return map(partial(fn, build()), jobs)
-    return _pooled(build, jobs, fn, workers)
+        return map(partial(fn, state), jobs)
+    return _pooled(state, jobs, fn, workers)
 
 
-def _pooled(build, jobs: Sequence, fn, workers: int) -> Iterator:
+def _pooled(state, jobs: Sequence, fn, workers: int) -> Iterator:
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init_worker, initargs=(build,)) as pool:
+    with ctx.Pool(workers, initializer=_init_worker, initargs=(state,)) as pool:
         yield from pool.imap(partial(_on_worker, fn), jobs)
 
 
@@ -428,15 +428,15 @@ def exact_capacity(
         )
     packer = topology_packer(t)
     full_cap = packer.value(t.capacities)
-    build = partial(_ChainTree, t, packer)
-    prefixes = build().prefixes(TREE_JOB_DEPTH)
+    tree = _ChainTree(t, packer)
+    prefixes = tree.prefixes(TREE_JOB_DEPTH)
     jobs = [(mass, node) for mass, node in prefixes if node is not None]
-    values = list(_run_chunks(build, [node for _, node in jobs], _tree_job, threads))
+    values = list(_run_chunks(tree, [node for _, node in jobs], _tree_job, threads))
     value = math.fsum(mass * v for (mass, _), v in zip(jobs, values))
     covered = math.fsum(mass for mass, _ in prefixes)
     if per_state is not None:
         chunks = [(a, min(a + STATE_CHUNK, n)) for a in range(0, n, STATE_CHUNK)]
-        rows = _run_chunks(partial(_Engine, t, packer), chunks, _exact_chunk, threads)
+        rows = _run_chunks(_Engine(t, packer), chunks, _exact_chunk, threads)
         _drain(rows, per_state, STATE_CSV_HEADER)
     return CapacityReport(
         mode="exact",
@@ -527,7 +527,7 @@ def sampled_capacity(
         (a // SAMPLE_CHUNK, min(SAMPLE_CHUNK, samples - a), seed, want_rows)
         for a in range(0, samples, SAMPLE_CHUNK)
     ]
-    chunks = _run_chunks(partial(_Engine, t, packer), jobs, _sample_chunk, threads)
+    chunks = _run_chunks(_Engine(t, packer), jobs, _sample_chunk, threads)
     mean, stderr = _mean_stderr(_drain(chunks, per_state, STATE_CSV_HEADER), samples)
     return CapacityReport(
         mode="sampled",

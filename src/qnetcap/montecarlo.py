@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from .capacity import (
@@ -152,26 +150,20 @@ def _run_trial(plan: _SimPlan, gen: np.random.Generator) -> int:
                     partner[(node, a)] = b
                     partner[(node, b)] = a
 
-    # count chains that run from source to sink over successful swaps
-    across, source, sink = plan.across, plan.source, plan.sink
+    # count chains that run from source to sink over successful swaps; each
+    # end pairs at most once and the source never swaps, so no walk cycles
+    across, sink = plan.across, plan.sink
     delivered = 0
-    for l, first in adj[source]:
+    for l, first in adj[plan.source]:
         for m in range(counts[l]):
             node, current = first, (l, m)
-            visited = {current}
-            while True:
-                if node == sink:
-                    delivered += 1
-                    break
-                if node == source:
-                    break  # chain looped back to the source end
+            while node != sink:
                 current = partner.get((node, current))
                 if current is None:
                     break  # unpaired end or failed swap
-                if current in visited:
-                    break  # cycle: delivers nothing
-                visited.add(current)
                 node ^= across[current[0]]
+            else:
+                delivered += 1
     return delivered
 
 
@@ -207,6 +199,6 @@ def simulate_local_knowledge(
     n = cfg.samples
     want_rows = per_trial is not None
     jobs = [(a, min(a + TRIAL_CHUNK, n), want_rows) for a in range(0, n, TRIAL_CHUNK)]
-    chunks = _run_chunks(partial(_SimPlan, t, cfg.seed), jobs, _trial_chunk, threads)
+    chunks = _run_chunks(_SimPlan(t, cfg.seed), jobs, _trial_chunk, threads)
     mean, stderr = _mean_stderr(_drain(chunks, per_trial, "trial,delivered\n"), n)
     return SimResult(mean=mean, stderr=stderr, samples=n)

@@ -24,6 +24,7 @@ from qnetcap.capacity import (
 )
 from qnetcap.montecarlo import SimConfig, simulate_local_knowledge
 from qnetcap.snapshot import num_states
+from qnetcap.solver import series_chains
 
 
 def single_link(p=0.3):
@@ -461,7 +462,7 @@ def test_exact_multiplexed_chain_is_expected_minimum():
     c = {("s", "a"): 3, ("a", "b"): 5, ("b", "c"): 2, ("c", "t"): 4}
     q = {"a": 0.8, "b": 0.5, "c": 0.9}
     t = make_topology(q, list(p), p=p, caps=c)
-    assert capacity.series_chains(topology_packer(t)) == [(0, 1, 2, 3)]
+    assert series_chains(topology_packer(t)) == [(0, 1, 2, 3)]
     expected = math.fsum(
         math.prod(tail(c[l], p[l], k) for l in p) for k in range(1, 3)
     ) * math.prod(q.values())
@@ -487,7 +488,7 @@ def test_exact_parallel_routes_at_count_255(depth, monkeypatch):
     # depth 0 runs the whole tree as one job, under one memo
     monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
     t = parallel_routes_at_255()
-    assert capacity.series_chains(topology_packer(t)) == [(0, 1), (2,)]
+    assert series_chains(topology_packer(t)) == [(0, 1), (2,)]
     expected = 255 * 0.3 + 0.7 * math.fsum(
         tail(255, 0.6, k) * tail(255, 0.45, k) for k in range(1, 256)
     )
@@ -538,19 +539,19 @@ def test_series_chains_follow_degree_two_nodes():
         ("s", "a"), ("a", "b"), ("b", "t"), ("b", "c"), ("c", "d"), ("d", "b"), ("s", "t"),
     ]
     t = make_topology({n: 0.9 for n in "abcd"}, pairs)
-    chains = [[t.link_ids[l] for l in chain] for chain in capacity.series_chains(topology_packer(t))]
+    chains = [[t.link_ids[l] for l in chain] for chain in series_chains(topology_packer(t))]
     assert chains == [["a-b", "s-a"], ["b-c", "d-b", "c-d"], ["b-t"], ["s-t"]]
 
 
 def test_series_chains_match_the_name_keyed_walk():
     for name in datasets.DATASETS:
         t = datasets.load_dataset(name)
-        assert capacity.series_chains(topology_packer(t)) == reference_series_chains(t), name
+        assert series_chains(topology_packer(t)) == reference_series_chains(t), name
     rng = np.random.default_rng(21)
     cycles = 0
     for i in range(300):
         t, _ = random_instance(rng, mux=i % 2 == 1)
-        chains = capacity.series_chains(topology_packer(t))
+        chains = series_chains(topology_packer(t))
         assert chains == reference_series_chains(t), i
         # a chain that closes into a cycle has as many nodes as links
         for chain in chains:

@@ -309,6 +309,69 @@ def test_trials_match_when_the_swap_table_clears(monkeypatch):
     assert len(plan.local) <= 2
 
 
+def walk_with_cycle_check(plan, gen):
+    """_run_trial as it was, with a visited set on each walk, and its cycle
+    exit turned into an assertion."""
+    counts = plan.slots.draw(gen).tolist()
+    local, adj = plan.local, plan.adj
+    picks = []
+    n = 0
+    for node in plan.internal:
+        key = (node, *[counts[l] for l, _ in adj[node]])
+        pairs = local.get(key)
+        if pairs is None:
+            pairs = local[key] = montecarlo._local_pairings(plan, node, counts)
+        if pairs:
+            picks.append((node, pairs))
+            n += len(pairs)
+    partner = {}
+    if n:
+        draws = iter(gen.random(n).tolist())
+        for node, pairs in picks:
+            for a, b in pairs:
+                if next(draws) < plan.q[node]:
+                    partner[(node, a)] = b
+                    partner[(node, b)] = a
+    delivered = 0
+    for l, first in adj[plan.source]:
+        for m in range(counts[l]):
+            node, current = first, (l, m)
+            visited = {current}
+            while True:
+                if node == plan.sink:
+                    delivered += 1
+                    break
+                if node == plan.source:
+                    break  # chain looped back to the source end
+                current = partner.get((node, current))
+                if current is None:
+                    break
+                assert current not in visited, "the walk met a cycle"
+                visited.add(current)
+                node ^= plan.across[current[0]]
+    return delivered
+
+
+def assert_walks_match(t, trials, seed=5):
+    plan = _SimPlan(t, seed)
+    for i in range(trials):
+        expected = walk_with_cycle_check(plan, _substream(seed, i))
+        assert _run_trial(plan, _substream(seed, i)) == expected, i
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_walk_without_cycle_exit_matches_the_checked_walk_on_datasets(name):
+    assert_walks_match(load_dataset(name), 200)
+
+
+@pytest.mark.parametrize("mux", [False, True])
+def test_walk_without_cycle_exit_matches_the_checked_walk_on_random_networks(mux):
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        t, _ = random_instance(rng, max_internal=6, max_edges=14, mux=mux, vary_p=True)
+        assert_walks_match(t, 50)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, -1])
 def test_chunk_rekeys_one_generator_as_the_per_trial_substreams(seed):
     # a chunk reuses one generator, put back before trial i in the state of
