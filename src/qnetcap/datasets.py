@@ -3,8 +3,9 @@
 Datasets are YAML topology files shipped as package data. The demo_*
 fixtures are small networks paired with hand-built infeasible assignments,
 each crafted so that exactly one constraint family catches the flaw. The
-builders read the bundled YAML; c6_demo and c7_demo override the q of their
-small-gain nodes, whose gain c6_demo_assignment's flows scale with.
+builders load the bundled YAML, c6_demo and c7_demo with their small-gain
+nodes' q overridden; c6_demo_assignment is built here, as its flows scale
+with that gain.
 """
 
 from __future__ import annotations
