@@ -11,23 +11,31 @@ Three modes:
   sampled    plain Monte Carlo over states with a counter-based RNG
 
 Exact mode conditions on one variable at a time (the factoring theorem with
-series reductions). Each maximal chain of links through internal nodes of
-degree 2 is one variable: a path through such a node takes one pair of
-each of its links, so only the chain's least pair count matters, and
-P(min >= k) is the product of the links' tails. Every other link is a
-variable of its own. At each node of the conditioning tree, the undecided
-variables are put at full capacity and the residual graph is stripped
-(PathPacker._strip): a cut-off sink makes the subtree worth 0, and the
-links the strip drops lie on no path in any completion, so their variables
-sum out. The tree branches on the undecided variable nearest the source,
-and a node with none left is a leaf, worth the packer's optimum, searched
-without a second strip.
+series reductions at every node). Each maximal chain of links through
+internal nodes of degree 2 is one variable: a path through such a node
+takes one pair of each of its links, so only the chain's least pair count
+matters, and P(min >= k) is the product of the links' tails. Every other
+link is a variable of its own. At each node of the conditioning tree, the
+undecided variables are put at full capacity and the residual graph is
+stripped (PathPacker._strip): a cut-off sink makes the subtree worth 0, and
+the links the strip drops lie on no path in any completion, so their
+variables sum out. The tree branches on the undecided variable nearest the
+source, and a node with none left is a leaf, worth the packer's optimum,
+searched without a second strip.
 
-Which variable is nearest depends only on the settled node's support (the
-links that hold pairs), so the variables are ordered once per support, by
-a breadth-first search from the source, in a table that each job keeps
-beside its memo. A child that decides its variable at k > 0 pairs keeps
-the links of its parent: it takes the parent's order and is not stripped.
+Series reductions are repeated after each strip: an internal node left
+with exactly two live links joins the chains it touches into one group,
+and the branch variable's whole group is decided in one branching, at the
+group's least count. Its open members' tails multiply, and a member
+decided earlier caps the count at its own (Satyanarayana & Wood,
+Networks 15, 1985).
+
+Which variable is nearest, and the groups, depend only on the settled
+node's support (the links that hold pairs), so both are read once per
+support off the strip's own breadth-first walk (PathPacker._support_strip),
+in a table that each job keeps beside its memo. A child that decides its
+group at k > 0 pairs keeps the links of its parent: it takes the parent's
+order and is not stripped.
 
 Runs split their work into fixed jobs: chunks of samples, or the subtrees
 TREE_JOB_DEPTH levels below the root of the tree. Each job's terms are
@@ -50,7 +58,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import Topology
+from .model import MAX_LINK_PAIRS, Topology
 from .snapshot import (
     STATE_CSV_HEADER,
     PairSlots,
@@ -224,16 +232,18 @@ def _sample_chunk(engine: _Engine, job: tuple[int, int, int, bool]):
     return _moments(caps), csv_text(rows) if want_rows else None
 
 
-def chain_pmf(pmfs: Sequence[Sequence[float]]) -> tuple[float, ...]:
-    """pmf of the least of independent counts with the given pmfs.
+def chain_pmf(pmfs: Sequence[Sequence[float]], cap: int = MAX_LINK_PAIRS) -> tuple[float, ...]:
+    """pmf of the least of independent counts with the given pmfs and of
+    a fixed count cap.
 
     P(min >= k) is the product of the counts' tails, each an exactly
-    rounded sum, so the tails never increase with k and their differences
-    are never negative. A single count keeps its own pmf.
+    rounded sum, for k up to cap, and 0 past it, so the tails never
+    increase with k and their differences are never negative. A single
+    count that cap does not bound keeps its own pmf.
     """
-    if len(pmfs) == 1:
+    top = min(cap + 1, *(len(pmf) for pmf in pmfs))
+    if len(pmfs) == 1 and top == len(pmfs[0]):
         return tuple(pmfs[0])
-    top = min(len(pmf) for pmf in pmfs)
     tails = [math.prod(math.fsum(pmf[k:]) for pmf in pmfs) for k in range(top)]
     tails.append(0.0)
     return tuple(tails[k] - tails[k + 1] for k in range(top))
@@ -245,16 +255,29 @@ class _ChainTree:
 
     A tree node is a packed state (see PathPacker.pack) and a bit mask of
     the open (undecided and relevant) chains, whose links hold their full
-    capacity in the state. Nodes are settled: stripped, with the chains the
-    strip drops taken out of the mask. Deciding chain j at k pairs is
-    (s & chain_clear[j]) + k * chain_ones[j] (see PathPacker.chain_table).
+    capacity in the state; every chain's links hold one count. Nodes are
+    settled: stripped, with the chains the strip drops taken out of the
+    mask. Deciding chain j at k pairs is (s & chain_clear[j]) +
+    k * chain_ones[j] (see PathPacker.chain_table).
 
-    The chain a node branches on depends only on its settled support (the
-    links that hold pairs), so each support's chain order is found once:
-    (support, present, chains), where chains lists every chain the support
-    holds in the order a breadth-first search from the source first meets
-    it, and present is the bit mask of those chains. A walk keeps these in
-    a table of its own (orders), keyed on the support.
+    The series reductions of a settled node depend only on its support
+    (the links that hold pairs), and are read off the strip walk that
+    settled it (PathPacker._support_strip) as its order:
+    (support, present, chains, joined). chains lists every chain the
+    support holds, in the order the walk's breadth-first search first
+    meets it, and present is the bit mask of those chains. joined maps
+    each chain joined to others at internal nodes with two live links to
+    the bit mask of its group, the chains so joined (None if there are
+    none): a path uses all of a group or none of it, so only the group's
+    least count matters. Each job keeps the orders in a table of its own
+    (orders), keyed on the support.
+
+    A node branches on the first open chain of its order and decides the
+    open members of its group at once. Their least count has
+    P(min >= k) the product of their tails, capped at the least count of
+    the group's decided members (see chain_pmf). The (clear mask, ones,
+    pmf) of each group is kept in groups, keyed on (open members, cap); a
+    lone open chain that no cap bounds uses its own chain's.
     """
 
     def __init__(self, t: Topology, packer: PathPacker):
@@ -267,53 +290,74 @@ class _ChainTree:
         for j, chain in enumerate(self.chains):
             for l in chain:
                 self.chain_of[l] = j
+        # per node, (link, chain) of each of its links, and whether it is internal
+        self.node_chains = [tuple((idx, self.chain_of[idx]) for idx, _ in a) for a in packer.adj]
+        self.internal = [n not in (packer.source, packer.sink) for n in range(packer.num_nodes)]
+        self.groups: dict[tuple[int, int], tuple] = {}
         self.open_shift = 8 * len(t.links)  # interior memo keys: open mask above the state
 
-    def _order(self, s: int, x: int, orders: dict) -> tuple[int, int, tuple[int, ...]]:
-        """The chain order of the settled state s with support x, from
-        orders or, on a miss, from one breadth-first search from the source,
-        stored there."""
-        order = orders.get(x)
-        if order is not None:
-            return order
-        packer = self.packer
-        adj, chain_of = packer.adj, self.chain_of
-        counts = s.to_bytes(len(chain_of), "little")
-        seen = bytearray(packer.num_nodes)
-        seen[packer.source] = 1
-        queue = [packer.source]
+    def _reduce(self, x: int, queue: list, deg: list, live: list) -> tuple:
+        """The order of the settled support x (see the class docstring),
+        from the strip walk's queue, live degrees and live links."""
+        node_chains, internal = self.node_chains, self.internal
         present = 0
         chains = []
+        joins = []
         for u in queue:
-            for idx, w in adj[u]:
-                if counts[idx]:
-                    j = chain_of[idx]
-                    if not present >> j & 1:
-                        present |= 1 << j
-                        chains.append(j)
-                    if not seen[w]:
-                        seen[w] = 1
-                        queue.append(w)
-        order = orders[x] = (x, present, tuple(chains))
-        return order
+            d = deg[u]
+            if d > 0:
+                first = -1
+                for idx, j in node_chains[u]:
+                    if live[idx]:
+                        if not present >> j & 1:
+                            present |= 1 << j
+                            chains.append(j)
+                        if d == 2:  # a join when its two links are on two chains
+                            if first < 0:
+                                first = j
+                            elif first != j and internal[u]:
+                                joins.append((first, j))
+        joined = None
+        if joins:
+            joined = {}
+            for a, b in joins:
+                group = rest = joined.get(a, 1 << a) | joined.get(b, 1 << b)
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    joined[bit.bit_length() - 1] = group
+        return x, present, tuple(chains), joined
 
     def _settle(
         self, s: int, open_: int, order: Optional[tuple], orders: dict
     ) -> Optional[tuple]:
         """Settles a node; None if the sink is cut off, else the settled
         state, the open mask left, the open chain to branch on (-1 at a
-        leaf) and the state's chain order. The chain is the first open one
-        in that order.
+        leaf) and the state's order. The chain is the first open one in
+        that order.
 
-        order: the chain order of the node's settled parent when the node
-        holds pairs on the same links (only counts changed), so it is
-        settled already; None when it must be stripped.
+        order: the order of the node's settled parent when the node holds
+        pairs on the same links (only counts changed), so it is settled
+        already; None when it must be stripped. A strip is one walk
+        (PathPacker._support_strip) unless both its keep mask and the
+        settled support's order are in their tables.
         """
         if order is None:
-            s = self.packer._strip(s)
-            if not s:
+            packer = self.packer
+            x = packer._support(s)
+            keep = packer.strips.get(x)
+            walk = None
+            if keep is None:
+                keep, *walk = packer._support_strip(x)
+            if not keep:
                 return None
-            order = self._order(s, self.packer._support(s), orders)
+            s &= keep
+            x &= keep
+            order = orders.get(x)
+            if order is None:
+                if walk is None:
+                    _, *walk = packer._support_strip(x)
+                order = orders[x] = self._reduce(x, *walk)
             open_ &= order[1]
         if open_:
             for j in order[2]:
@@ -321,13 +365,44 @@ class _ChainTree:
                     return s, open_, j, order
         return s, open_, -1, order
 
+    def _group(self, s: int, live: int, group: int) -> tuple:
+        """(clear mask, ones, pmf, open members) of a group of chains at
+        the settled state s with open mask live."""
+        members = group & live
+        decided = group ^ members
+        cap = MAX_LINK_PAIRS
+        while decided:
+            bit = decided & -decided
+            decided ^= bit
+            cap = min(cap, s >> 8 * self.chains[bit.bit_length() - 1][0] & 0xFF)
+        cached = self.groups.get((members, cap))
+        if cached is None:
+            clear, ones, pmfs = self.packer.ones * 0xFF, 0, []
+            rest = members
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i = bit.bit_length() - 1
+                clear &= self.chain_clear[i]
+                ones |= self.chain_ones[i]
+                pmfs.append(self.pmfs[i])
+            cached = self.groups[members, cap] = clear, ones, chain_pmf(pmfs, cap), members
+        return cached
+
     def _children(self, s: int, live: int, j: int, order: tuple) -> Iterator:
-        """(probability, state, open mask, order) of each child with chain
-        j decided, in count order; children of probability 0 are left out.
-        A child with pairs on j keeps the links of its parent, so it takes
-        the parent's chain order; the one without gets None (see _settle)."""
-        base, ones, rest = s & self.chain_clear[j], self.chain_ones[j], live & ~(1 << j)
-        for k, prob in enumerate(self.pmfs[j]):
+        """(probability, state, open mask, order) of each child with the
+        group of chain j decided, in count order; children of probability 0
+        are left out. A child with pairs on the group keeps the links of
+        its parent, so it takes the parent's order; the one without gets
+        None (see _settle)."""
+        joined = order[3]
+        if joined and j in joined:
+            clear, ones, pmf, members = self._group(s, live, joined[j])
+        else:
+            clear, ones, pmf = self.chain_clear[j], self.chain_ones[j], self.pmfs[j]
+            members = 1 << j
+        base, rest = s & clear, live & ~members
+        for k, prob in enumerate(pmf):
             if prob:
                 yield prob, base + k * ones, rest, order if k else None
 
@@ -360,22 +435,22 @@ class _ChainTree:
         memo key, its children still to come, their weighted values so far
         and the probability of the child being walked. Interior nodes are
         memoized on the settled state with the open mask above its bytes.
-        The chain orders (see the class docstring) live in a table beside
-        the memo, for this walk only. A leaf is settled, so the packer
-        searches it without stripping it again.
+        The orders (see the class docstring) live in a table beside the
+        memo, for this walk only. A leaf is settled, so the packer searches
+        it without stripping it again.
         """
         packer, shift = self.packer, self.open_shift
         memo: dict[int, float] = {}
         orders: dict[int, tuple] = {}
         frames: list[list] = []
-        order = self._order(s, packer._support(s), orders)
+        order = None
         while True:
             settled = self._settle(s, open_, order, orders)
             if settled is None:
                 value = 0.0
             elif settled[2] < 0:
                 # a settled state is stripped, as the packer keys its memo,
-                # and its support heads its chain order
+                # and its support heads its order
                 s, _, _, order = settled
                 value = packer.memo.get(s)
                 if value is None:

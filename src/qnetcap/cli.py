@@ -71,7 +71,8 @@ def _resolve_topology(spec: str) -> Topology:
 
 
 def _parse_state(t: Topology, spec: str) -> SnapshotState:
-    """Parses --state: 'full', 'empty', or 'link=count,...' (bare link = 1)."""
+    """Parses --state: 'full', 'empty', or 'link=count,...' (bare link = 1);
+    a link named twice, in either spelling, is a TopologyError."""
     if spec == "full":
         return SnapshotState.full(t)
     if spec in ("empty", ""):
@@ -92,6 +93,8 @@ def _parse_state(t: Topology, spec: str) -> SnapshotState:
                 [f"state: count '{raw.strip()}' on link '{lid}' is not an integer"]
             ) from None
         canonical = t.link_ids[t.link_index[lid]]
+        if canonical in counts:
+            raise TopologyError([f"state: link '{canonical}' is given twice"])
         counts[canonical] = count
     state = SnapshotState.from_counts(t, counts)
     check_vector(t, state.vector)

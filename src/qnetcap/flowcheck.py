@@ -60,9 +60,10 @@ class FlowAssignment:
     @staticmethod
     def from_document(document: Mapping) -> "FlowAssignment":
         """The assignment of a parsed document (see to_document); a
-        malformed section or row is a ValueError that names it."""
-        flows = dict(_rows(document, "flows", ("from", "to"), float))
-        matchings = dict(_rows(document, "matchings", ("i", "j", "k"), float))
+        malformed section or row, or a row that repeats an earlier one's
+        names, is a ValueError that names it."""
+        flows = _table(document, "flows", ("from", "to"))
+        matchings = _table(document, "matchings", ("i", "j", "k"))
         return FlowAssignment(flows, matchings)
 
     def to_document(self) -> dict:
@@ -77,14 +78,17 @@ class FlowAssignment:
         }
 
 
-def _rows(document: Mapping, section: str, keys: tuple[str, ...], kind: type):
-    """(names, value) of each row of document[section], a list of mappings
-    of keys and "value" (absent or null: no rows), value read as kind."""
+def _table(document: Mapping, section: str, keys: tuple[str, ...]) -> dict:
+    """Map from names to value of the rows of document[section], a list of
+    mappings of keys and "value" (absent or null: no rows), value read as a
+    float; two rows with the same names are a ValueError that names both."""
     rows = document.get(section)
     if rows is None:
-        return
+        return {}
     if not isinstance(rows, (list, tuple)):
         raise ValueError(f"{section}: expected a list, got {type(rows).__name__}")
+    table: dict[tuple[str, ...], float] = {}
+    first: dict[tuple[str, ...], int] = {}
     for i, row in enumerate(rows):
         if not isinstance(row, Mapping):
             raise ValueError(f"{section}[{i}]: expected a mapping, got {type(row).__name__}")
@@ -92,10 +96,16 @@ def _rows(document: Mapping, section: str, keys: tuple[str, ...], kind: type):
         if missing:
             raise ValueError(f"{section}[{i}]: missing {', '.join(missing)}")
         try:
-            value = kind(row["value"])
+            value = float(row["value"])
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{section}[{i}].value: not a number ({row['value']!r})") from None
-        yield tuple(str(row[key]) for key in keys), value
+        names = tuple(str(row[key]) for key in keys)
+        if names in first:
+            raise ValueError(
+                f"{section}[{i}]: repeats {section}[{first[names]}] ({', '.join(names)})"
+            )
+        table[names], first[names] = value, i
+    return table
 
 
 def load_assignment(text_or_path) -> FlowAssignment:

@@ -40,7 +40,9 @@ strip drops depends only on the support, the set of links that hold pairs,
 not on how many they hold. The support is folded out of the state with
 three shifts (bit 8i is set when link i holds pairs), and each packer
 keeps a keep mask per support in a strip table of at most STRIP_CAP
-supports, computing the strip only on a miss. The memo is keyed on the
+supports, computing the strip only on a miss, by one breadth-first walk
+from the source (PathPacker._support_strip) whose visit order and live
+degrees the capacity engine's tree also reads. The memo is keyed on the
 stripped state itself.
 """
 
@@ -82,8 +84,11 @@ class PathPacker:
     each link the strip keeps, or 0 when the sink is cut off, so a stripped
     state is s & keep and a cut one is 0. It fills up to STRIP_CAP
     supports; later misses are stripped but not stored, so the table never
-    evicts and a stored answer stays valid. The memo (memo, and
-    _rebuild_memo for best_packing) is keyed on the stripped state.
+    evicts and a stored answer stays valid. A miss is one walk
+    (_support_strip), which also hands back its breadth-first visit order,
+    the live degree of each node and the live links, as the stripped
+    support has them. The memo (memo, and _rebuild_memo for best_packing)
+    is keyed on the stripped state.
 
     The route table (routes) holds each source link's paths on the full
     graph (_routes), best gain first; the first one's gain is the link's
@@ -168,42 +173,46 @@ class PathPacker:
         x = self._support(s)
         keep = self.strips.get(x)
         if keep is None:
-            keep = self._support_strip(x)
+            keep = self._support_strip(x)[0]
         return s & keep
 
-    def _support_strip(self, x: int) -> int:
-        """The keep mask of support x, stored while the table has room.
+    def _support_strip(self, x: int) -> tuple[int, list, list, list]:
+        """The strip walk of support x: (keep, queue, deg, live), with the
+        keep mask stored in the strip table while it has room.
 
-        The sink is cut off at once when no link at the source or none at
-        the sink holds pairs. Otherwise one depth-first search from the
-        source counts the live links of each node it reaches (deg stays -1
-        at the others) and collects the degree-1 leaves. A live link it did
-        not reach has both ends unreached; they are looked for only when
-        the reached link ends fall short of two per live link. Then leaves
-        are peeled until none is left; the links peeled do not depend on
-        the order. kept is the support left, read off as the keep mask.
+        The sink is cut off at once (keep 0, and queue, deg and live empty)
+        when no link at the source or none at the sink holds pairs.
+        Otherwise one breadth-first search from the source lists the nodes
+        it reaches in queue, in visit order, counts the live links of each
+        in deg (-1 at the others) and collects the degree-1 leaves; the
+        sink is cut off (keep 0) if it is not reached. A live link it did
+        not reach has both ends unreached; such links are looked for only
+        when the reached link ends fall short of two per live link. Then
+        leaves are peeled until none is left; the links peeled do not
+        depend on the order. Unless the sink is cut off, deg and the
+        per-link flags live end as the stripped support has them (a
+        dropped node has degree 0 or -1), and the links left are read off
+        as the keep mask.
         """
         if not x & self._source_ones or not x & self._sink_ones:
-            keep = 0
             if len(self.strips) < STRIP_CAP:
-                self.strips[x] = keep
-            return keep
+                self.strips[x] = 0
+            return 0, [], [], []
         adj, source, sink = self.adj, self.source, self.sink
         live = list(x.to_bytes(len(self.links), "little"))  # a list indexes fastest
         deg = [-1] * self.num_nodes
         deg[source] = 0
         leaves = []
         ends = 0
-        stack = [source]
-        while stack:
-            u = stack.pop()
+        queue = [source]
+        for u in queue:
             d = 0
             for idx, w in adj[u]:
                 if live[idx]:
                     d += 1
                     if deg[w] < 0:
                         deg[w] = 0
-                        stack.append(w)
+                        queue.append(w)
             deg[u] = d
             ends += d
             if d == 1 and u != source and u != sink:
@@ -215,6 +224,7 @@ class PathPacker:
             if ends < 2 * x.bit_count():
                 for idx, (u, _) in enumerate(self.links):
                     if live[idx] and deg[u] < 0:
+                        live[idx] = 0
                         kept ^= 1 << 8 * idx
             while leaves:
                 n = leaves.pop()
@@ -232,7 +242,7 @@ class PathPacker:
             keep = kept * 0xFF
         if len(self.strips) < STRIP_CAP:
             self.strips[x] = keep
-        return keep
+        return keep, queue, deg, live
 
     def _branch(self, s: int, support: int):
         """Yields (gain, prefix, rest) once per child of a stripped state s
@@ -353,7 +363,7 @@ class PathPacker:
             x &= ones
             keep = strips.get(x)
             if keep is None:
-                keep = self._support_strip(x)
+                keep = self._support_strip(x)[0]
             if keep:
                 s &= keep
                 value = memo.get(s)

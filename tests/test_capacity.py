@@ -562,7 +562,8 @@ def test_series_chains_match_the_name_keyed_walk():
 
 class BfsTree(capacity._ChainTree):
     """Reference conditioning tree: a breadth-first search from the source
-    at every node for the chain to branch on, and a kept flag for the
+    at every node for the chain to branch on, a walk over the live links at
+    every branching for that chain's series group, and a kept flag for the
     children that hold pairs on the links of their parent."""
 
     def __init__(self, t, packer):
@@ -600,9 +601,50 @@ class BfsTree(capacity._ChainTree):
                         queue.append(w)
         raise AssertionError("an open chain outlived the strip")
 
+    def _group(self, s, j):
+        """Chain j and every chain joined to it, through internal nodes
+        with exactly two live links in s, one after another."""
+        packer, chain_of = self.packer, self.chain_of
+        counts = s.to_bytes(len(chain_of), "little")
+        joined = {}
+        for n in range(packer.num_nodes):
+            if n in (packer.source, packer.sink):
+                continue
+            links = [idx for idx, _ in packer.adj[n] if counts[idx]]
+            if len(links) != 2:
+                continue
+            a, b = chain_of[links[0]], chain_of[links[1]]
+            if a != b:
+                joined.setdefault(a, set()).add(b)
+                joined.setdefault(b, set()).add(a)
+        group, frontier = {j}, [j]
+        while frontier:
+            for i in joined.get(frontier.pop(), ()):
+                if i not in group:
+                    group.add(i)
+                    frontier.append(i)
+        return group
+
     def _children(self, s, live, j):
-        base, ones, rest = s & self.chain_clear[j], self.chain_ones[j], live & ~(1 << j)
-        for k, prob in enumerate(self.pmfs[j]):
+        # the group's open members take their least count; its decided
+        # members cap it at theirs
+        group = self._group(s, j)
+        members = sorted(i for i in group if live >> i & 1)
+        counts = s.to_bytes(len(self.chain_of), "little")
+        cap = min((counts[self.chains[i][0]] for i in group if not live >> i & 1), default=255)
+        pmfs = [self.pmfs[i] for i in members]
+        top = min(cap + 1, *(len(pmf) for pmf in pmfs))
+        if len(members) == 1 and top == len(pmfs[0]):
+            pmf = pmfs[0]
+        else:
+            tails = [math.prod(math.fsum(pmf[k:]) for pmf in pmfs) for k in range(top)] + [0.0]
+            pmf = [tails[k] - tails[k + 1] for k in range(top)]
+        base, ones, rest = s, 0, live
+        for i in members:
+            base &= self.chain_clear[i]
+            ones += self.chain_ones[i]
+            rest &= ~(1 << i)
+        for k, prob in enumerate(pmf):
             if prob:
                 yield prob, base + k * ones, rest, k > 0
 
@@ -704,6 +746,107 @@ def test_tree_matches_bfs_tree_on_datasets(name, monkeypatch):
     assert_tree_matches_bfs_tree(datasets.load_dataset(name), monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "name, most",
+    [("abilene_mux2", 40_418), pytest.param("nsfnet", 54_060, marks=pytest.mark.slow)],
+)
+def test_series_reductions_shrink_the_tree(name, most, monkeypatch):
+    # every settled node on one worker; with series reductions only on the
+    # full graph, the tree had 112,505 nodes on abilene_mux2 and 104,294 on
+    # NSFNet
+    settles = traced_exact(datasets.load_dataset(name), capacity._ChainTree, monkeypatch)[3]
+    assert len(settles) <= most
+
+
 def test_tree_matches_bfs_tree_on_random_and_count_255_networks(monkeypatch):
     for t in [*random_mux_networks(), parallel_routes_at_255(), shared_link_at_255()]:
         assert_tree_matches_bfs_tree(t, monkeypatch)
+
+
+def test_exact_zero_chain_joins_its_neighbours_in_series():
+    # chain C = s-b-h through b, beside the links A = s-h and B = h-t at h:
+    # deciding C at 0 leaves h with A and B only
+    p = {("s", "b"): 0.7, ("b", "h"): 0.55, ("s", "h"): 0.4, ("h", "t"): 0.65}
+    caps = {("s", "b"): 2, ("b", "h"): 3, ("s", "h"): 2, ("h", "t"): 3}
+    qh, qb = 0.8, 0.6
+    t = make_topology({"h": qh, "b": qb}, list(p), p=p, caps=caps)
+    tree = capacity._ChainTree(t, topology_packer(t))
+    chain = {tuple(sorted(t.link_ids[l] for l in links)): j for j, links in enumerate(tree.chains)}
+    C, A, B = chain["b-h", "s-b"], chain["s-h",], chain["h-t",]
+    # the root branches on C alone: h has three live links
+    s, live, j, order = tree._settle(tree.full, 0b111, None, {})
+    assert j == C and order[3] is None
+    zero = next(iter(tree._children(s, live, j, order)))
+    assert zero[3] is None  # C at 0: stripped before its node branches
+    # with C at 0, A and B form one group, decided in one branching at
+    # their least count, with P(min >= k) = P(A >= k) * P(B >= k)
+    s, live, j, order = tree._settle(zero[1], zero[2], None, {})
+    assert j == A and order[3] == {A: 1 << A | 1 << B, B: 1 << A | 1 << B}
+    children = list(tree._children(s, live, j, order))
+    assert [rest for _, _, rest, _ in children] == [0, 0, 0]
+    tails = [tail(2, 0.4, k) * tail(3, 0.65, k) for k in range(3)] + [0.0]
+    assert [prob for prob, *_ in children] == pytest.approx(
+        [tails[k] - tails[k + 1] for k in range(3)], rel=1e-12
+    )
+    # the closed form: s-h-t carries min(A, B) pairs at gain qh, and s-b-h-t
+    # carries min(C, B - min(A, B)) at gain qb * qh
+    pmf_a = [tail(2, 0.4, a) - tail(2, 0.4, a + 1) for a in range(3)]
+    pmf_b = [tail(3, 0.65, b) - tail(3, 0.65, b + 1) for b in range(4)]
+    expected = math.fsum(
+        pa * pb * qh * (min(a, b) + qb * math.fsum(
+            tail(2, 0.7, k) * tail(3, 0.55, k) for k in range(1, b - min(a, b) + 1)
+        ))
+        for a, pa in enumerate(pmf_a)
+        for b, pb in enumerate(pmf_b)
+    )
+    value = exact_capacity(t, threads=1).value
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert value == pytest.approx(enumerated(t)[1].value, rel=1e-12, abs=0)
+
+
+def bfs_chain_order(tree, s):
+    """The chains of the stripped state s in the order a breadth-first
+    search from the source over its links first meets them."""
+    packer = tree.packer
+    counts = s.to_bytes(len(tree.chain_of), "little")
+    seen = bytearray(packer.num_nodes)
+    seen[packer.source] = 1
+    queue, chains = [packer.source], []
+    for u in queue:
+        for idx, w in packer.adj[u]:
+            if counts[idx]:
+                if tree.chain_of[idx] not in chains:
+                    chains.append(tree.chain_of[idx])
+                if not seen[w]:
+                    seen[w] = 1
+                    queue.append(w)
+    return chains
+
+
+def test_strip_walk_order_matches_a_bfs_of_the_stripped_support():
+    rng = np.random.default_rng(20261020)
+    walks = merged = 0
+    for i in range(200):
+        t, _ = random_instance(rng, max_internal=6, max_edges=12, mux=i % 2 == 1)
+        packer = topology_packer(t)
+        tree = BfsTree(t, packer)
+        for _ in range(8):
+            vec = [int(rng.integers(0, c + 1)) for c in t.capacities]
+            s = packer.pack(vec)
+            x = packer._support(s)
+            keep, *walk = packer._support_strip(x)
+            assert keep == packer.strips[x]
+            if not keep:
+                continue
+            walks += 1
+            s &= keep
+            order = tree._reduce(x & keep, *walk)
+            assert order == tree._reduce(x & keep, *packer._support_strip(x & keep)[1:])
+            chains = bfs_chain_order(tree, s)
+            assert list(order[2]) == chains
+            assert order[1] == sum(1 << j for j in chains)
+            for j in chains:
+                group = sum(1 << i for i in tree._group(s, j))
+                assert (order[3] or {}).get(j, 1 << j) == group
+                merged += group != 1 << j
+    assert walks > 500 and merged > 0

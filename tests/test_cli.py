@@ -83,6 +83,22 @@ def test_verify_malformed_assignment_file_is_an_error(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+def test_verify_refuses_a_row_listed_twice(tmp_path, capsys):
+    # the first row is out of bounds: a repeat must not hide it
+    path = tmp_path / "twice.yaml"
+    path.write_text(
+        "flows:\n"
+        "  - {from: s, to: '1', value: 5.0}\n"
+        "  - {from: s, to: '1', value: 1.0}\n"
+    )
+    code, out, err = run(
+        capsys, "verify", "--topology", "demo_c9", "--assignment", str(path)
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: flows[1]: repeats flows[0] (s, 1)\n"
+
+
 def test_capacity_truncated_needs_top_k(capsys):
     code, _, err = run(capsys, "capacity", "--topology", "five_node", "--mode", "truncated")
     assert code == 1
@@ -249,6 +265,14 @@ def test_snapshot_rejects_negative_count(capsys):
     assert code == 1
     assert "count -1 on link 0-4 is negative" in err
     assert "exceeds" not in err
+
+
+@pytest.mark.parametrize("spec", ["s-1=1,1-s=0", "s-1=1,s-1", "1-s,s-1=1"])
+def test_snapshot_refuses_a_link_given_twice(capsys, spec):
+    code, out, err = run(capsys, "snapshot", "--topology", "abilene", "--state", spec)
+    assert code == 1
+    assert out == ""
+    assert err == "error: state: link 's-1' is given twice\n"
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", ""])

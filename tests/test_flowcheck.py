@@ -190,6 +190,15 @@ def test_assignment_document_round_trip():
         ("flows: [{from: a, value: 0.5}]", r"^flows\[0\]: missing to$"),
         ("flows: [{from: a, to: b, value: null}]", r"^flows\[0\]\.value: not a number \(None\)$"),
         ("matchings: [{i: a, j: b, k: c, value: x}]", r"^matchings\[0\]\.value: not a number"),
+        (
+            'flows: [{from: s, to: "1", value: 5.0}, {from: "1", to: s, value: 0.0},'
+            ' {from: s, to: 1, value: 1.0}]',
+            r"^flows\[2\]: repeats flows\[0\] \(s, 1\)$",
+        ),
+        (
+            "matchings: [{i: a, j: b, k: c, value: 1}, {i: a, j: b, k: c, value: 0}]",
+            r"^matchings\[1\]: repeats matchings\[0\] \(a, b, c\)$",
+        ),
     ],
 )
 def test_malformed_assignment_documents_are_value_errors(text, message):
