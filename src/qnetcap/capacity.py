@@ -10,27 +10,25 @@ Three modes:
              state's capacity)
   sampled    plain Monte Carlo over states with a counter-based RNG
 
-Exact mode conditions on one variable at a time (the factoring theorem with
-series reductions at every node). Each maximal chain of links through
-internal nodes of degree 2 is one variable: a path through such a node
-takes one pair of each of its links, so only the chain's least pair count
-matters, and P(min >= k) is the product of the links' tails. Every other
-link is a variable of its own. At each node of the conditioning tree, the
-undecided variables are put at full capacity and the residual graph is
-stripped (PathPacker._strip): a cut-off sink makes the subtree worth 0, and
-the links the strip drops lie on no path in any completion, so their
-variables sum out. The tree branches on the undecided variable nearest the
-source, and a node with none left is a leaf, worth the packer's optimum,
-searched without a second strip.
+Exact mode conditions on one link at a time (the factoring theorem with
+series reductions at every node, the root included). At each node of the
+conditioning tree, the undecided links are put at full capacity and the
+residual graph is stripped (PathPacker._strip): a cut-off sink makes the
+subtree worth 0, and the links the strip drops lie on no path in any
+completion, so their counts sum out. The tree branches on the undecided
+link nearest the source, and a node with none left is a leaf, worth the
+packer's optimum, searched without a second strip.
 
-Series reductions are repeated after each strip: an internal node left
-with exactly two live links joins the chains it touches into one group,
-and the branch variable's whole group is decided in one branching, at the
-group's least count. Its open members' tails multiply, and a member
-decided earlier caps the count at its own (Satyanarayana & Wood,
-Networks 15, 1985).
+Series reductions follow each strip: an internal node left with exactly
+two live links joins them into one group, since a path through it takes
+one pair of each, and the branch link's whole group is decided in one
+branching, at the group's least count. Its open members' tails multiply,
+and a member decided earlier caps the count at its own (Satyanarayana &
+Wood, Networks 15, 1985). At the root this groups each maximal chain of
+links through internal nodes of degree 2 that the strip keeps, so the
+chain is decided at once.
 
-Which variable is nearest, and the groups, depend only on the settled
+Which link is nearest, and the groups, depend only on the settled
 node's support (the links that hold pairs), so both are read once per
 support off the strip's own breadth-first walk (PathPacker._support_strip),
 in a table that each job keeps beside its memo. A child that decides its
@@ -232,7 +230,7 @@ def _sample_chunk(engine: _Engine, job: tuple[int, int, int, bool]):
     return _moments(caps), csv_text(rows) if want_rows else None
 
 
-def chain_pmf(pmfs: Sequence[Sequence[float]], cap: int = MAX_LINK_PAIRS) -> tuple[float, ...]:
+def chain_pmf(pmfs: Sequence[Sequence[float]], cap: int) -> tuple[float, ...]:
     """pmf of the least of independent counts with the given pmfs and of
     a fixed count cap.
 
@@ -250,48 +248,40 @@ def chain_pmf(pmfs: Sequence[Sequence[float]], cap: int = MAX_LINK_PAIRS) -> tup
 
 
 class _ChainTree:
-    """Conditioning tree of one topology over its series chains (see the
-    module docstring), with a packer as leaf evaluator.
+    """Conditioning tree of one topology over its links (see the module
+    docstring), with a packer as leaf evaluator.
 
     A tree node is a packed state (see PathPacker.pack) and a bit mask of
-    the open (undecided and relevant) chains, whose links hold their full
-    capacity in the state; every chain's links hold one count. Nodes are
-    settled: stripped, with the chains the strip drops taken out of the
-    mask. Deciding chain j at k pairs is (s & chain_clear[j]) +
-    k * chain_ones[j] (see PathPacker.chain_table).
+    the open (undecided and relevant) links, which hold their counts of
+    the packed full state. Nodes are settled: stripped, with the links the
+    strip drops taken out of the mask. Deciding link l at k pairs sets
+    byte l of the state to k.
 
     The series reductions of a settled node depend only on its support
     (the links that hold pairs), and are read off the strip walk that
     settled it (PathPacker._support_strip) as its order:
-    (support, present, chains, joined). chains lists every chain the
-    support holds, in the order the walk's breadth-first search first
-    meets it, and present is the bit mask of those chains. joined maps
-    each chain joined to others at internal nodes with two live links to
-    the bit mask of its group, the chains so joined (None if there are
-    none): a path uses all of a group or none of it, so only the group's
-    least count matters. Each job keeps the orders in a table of its own
-    (orders), keyed on the support.
+    (support, present, links, joined). links lists every link the support
+    holds, in the order the walk's breadth-first search first meets it,
+    and present is the bit mask of those links. joined maps each link
+    joined to others at internal nodes with two live links to the bit
+    mask of its group, the links so joined (None if there are none): a
+    path uses all of a group or none of it, so only the group's least
+    count matters. At the root, each series chain of the full graph that
+    the strip keeps is so joined. Each job keeps the orders in a table of
+    its own (orders), keyed on the support.
 
-    A node branches on the first open chain of its order and decides the
+    A node branches on the first open link of its order and decides the
     open members of its group at once. Their least count has
     P(min >= k) the product of their tails, capped at the least count of
     the group's decided members (see chain_pmf). The (clear mask, ones,
     pmf) of each group is kept in groups, keyed on (open members, cap); a
-    lone open chain that no cap bounds uses its own chain's.
+    link in no group uses its own pmf.
     """
 
     def __init__(self, t: Topology, packer: PathPacker):
         self.packer = packer
         self.full = packer.pack(t.capacities)
-        self.chains, self.chain_ones, self.chain_clear = packer.chain_table
-        pmfs = link_pmfs(t)
-        self.pmfs = [chain_pmf([pmfs[l] for l in chain]) for chain in self.chains]
-        self.chain_of = [0] * len(t.links)
-        for j, chain in enumerate(self.chains):
-            for l in chain:
-                self.chain_of[l] = j
-        # per node, (link, chain) of each of its links, and whether it is internal
-        self.node_chains = [tuple((idx, self.chain_of[idx]) for idx, _ in a) for a in packer.adj]
+        self.pmfs = link_pmfs(t)
         self.internal = [n not in (packer.source, packer.sink) for n in range(packer.num_nodes)]
         self.groups: dict[tuple[int, int], tuple] = {}
         self.open_shift = 8 * len(t.links)  # interior memo keys: open mask above the state
@@ -299,24 +289,24 @@ class _ChainTree:
     def _reduce(self, x: int, queue: list, deg: list, live: list) -> tuple:
         """The order of the settled support x (see the class docstring),
         from the strip walk's queue, live degrees and live links."""
-        node_chains, internal = self.node_chains, self.internal
+        adj, internal = self.packer.adj, self.internal
         present = 0
-        chains = []
+        links = []
         joins = []
         for u in queue:
             d = deg[u]
             if d > 0:
                 first = -1
-                for idx, j in node_chains[u]:
+                for idx, _ in adj[u]:
                     if live[idx]:
-                        if not present >> j & 1:
-                            present |= 1 << j
-                            chains.append(j)
-                        if d == 2:  # a join when its two links are on two chains
+                        if not present >> idx & 1:
+                            present |= 1 << idx
+                            links.append(idx)
+                        if d == 2:  # an internal u joins its two live links
                             if first < 0:
-                                first = j
-                            elif first != j and internal[u]:
-                                joins.append((first, j))
+                                first = idx
+                            elif internal[u]:
+                                joins.append((first, idx))
         joined = None
         if joins:
             joined = {}
@@ -326,14 +316,14 @@ class _ChainTree:
                     bit = rest & -rest
                     rest ^= bit
                     joined[bit.bit_length() - 1] = group
-        return x, present, tuple(chains), joined
+        return x, present, tuple(links), joined
 
     def _settle(
         self, s: int, open_: int, order: Optional[tuple], orders: dict
     ) -> Optional[tuple]:
         """Settles a node; None if the sink is cut off, else the settled
-        state, the open mask left, the open chain to branch on (-1 at a
-        leaf) and the state's order. The chain is the first open one in
+        state, the open mask left, the open link to branch on (-1 at a
+        leaf) and the state's order. The link is the first open one in
         that order.
 
         order: the order of the node's settled parent when the node holds
@@ -366,7 +356,7 @@ class _ChainTree:
         return s, open_, -1, order
 
     def _group(self, s: int, live: int, group: int) -> tuple:
-        """(clear mask, ones, pmf, open members) of a group of chains at
+        """(clear mask, ones, pmf, open members) of a group of links at
         the settled state s with open mask live."""
         members = group & live
         decided = group ^ members
@@ -374,24 +364,24 @@ class _ChainTree:
         while decided:
             bit = decided & -decided
             decided ^= bit
-            cap = min(cap, s >> 8 * self.chains[bit.bit_length() - 1][0] & 0xFF)
+            cap = min(cap, s >> 8 * (bit.bit_length() - 1) & 0xFF)
         cached = self.groups.get((members, cap))
         if cached is None:
-            clear, ones, pmfs = self.packer.ones * 0xFF, 0, []
+            ones, pmfs = 0, []
             rest = members
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                i = bit.bit_length() - 1
-                clear &= self.chain_clear[i]
-                ones |= self.chain_ones[i]
-                pmfs.append(self.pmfs[i])
+                l = bit.bit_length() - 1
+                ones |= 1 << 8 * l
+                pmfs.append(self.pmfs[l])
+            clear = (self.packer.ones ^ ones) * 0xFF
             cached = self.groups[members, cap] = clear, ones, chain_pmf(pmfs, cap), members
         return cached
 
     def _children(self, s: int, live: int, j: int, order: tuple) -> Iterator:
         """(probability, state, open mask, order) of each child with the
-        group of chain j decided, in count order; children of probability 0
+        group of link j decided, in count order; children of probability 0
         are left out. A child with pairs on the group keeps the links of
         its parent, so it takes the parent's order; the one without gets
         None (see _settle)."""
@@ -399,8 +389,8 @@ class _ChainTree:
         if joined and j in joined:
             clear, ones, pmf, members = self._group(s, live, joined[j])
         else:
-            clear, ones, pmf = self.chain_clear[j], self.chain_ones[j], self.pmfs[j]
-            members = 1 << j
+            ones, pmf, members = 1 << 8 * j, self.pmfs[j], 1 << j
+            clear = ~(ones * 0xFF)
         base, rest = s & clear, live & ~members
         for k, prob in enumerate(pmf):
             if prob:
@@ -412,7 +402,7 @@ class _ChainTree:
         the sink is cut off, else the settled (state, open mask)."""
         out = []
         orders: dict[int, tuple] = {}
-        stack = [(1.0, self.full, (1 << len(self.chains)) - 1, None, 0)]
+        stack = [(1.0, self.full, (1 << len(self.pmfs)) - 1, None, 0)]
         while stack:
             mass, s, open_, order, level = stack.pop()
             settled = self._settle(s, open_, order, orders)
@@ -429,7 +419,7 @@ class _ChainTree:
         return out
 
     def expected(self, s: int, open_: int) -> float:
-        """Expected leaf value below one settled node, over its open chains.
+        """Expected leaf value below one settled node, over its open links.
 
         The walk keeps one frame per interior node on the way down: its
         memo key, its children still to come, their weighted values so far
@@ -489,8 +479,8 @@ def exact_capacity(
 ) -> CapacityReport:
     """Exact capacity: sum of P(state) * capacity(state) over every state.
 
-    The sum is taken over the conditioning tree of series chains, whose
-    subtrees TREE_JOB_DEPTH levels down are the jobs. per_state (a path or
+    The sum is taken over the conditioning tree of links, whose subtrees
+    TREE_JOB_DEPTH levels down are the jobs. per_state (a path or
     a text handle) then gets one CSV row per state, enumerated on the run's
     packer (see _Engine); it changes no field of the report. budget bounds
     the number of states.

@@ -61,7 +61,8 @@ def _resolve_topology(spec: str) -> Topology:
     if spec in datasets.DATASETS + datasets.FIXTURE_TOPOLOGIES:
         return datasets.load_dataset(spec)
     if os.path.exists(spec):
-        return load_topology(spec)
+        with open(spec, encoding="utf-8") as fh:
+            return load_topology(fh)
     raise TopologyError(
         [
             f"topology '{spec}' is neither a bundled dataset "
@@ -219,7 +220,8 @@ def cmd_verify(args) -> int:
     if args.assignment in datasets.FIXTURE_ASSIGNMENTS:
         assignment = datasets.load_fixture_assignment(args.assignment)
     else:
-        assignment = load_assignment(args.assignment)
+        with open(args.assignment, encoding="utf-8") as fh:
+            assignment = load_assignment(fh)
     if args.constraints:
         active = tuple(tag.strip().upper() for tag in args.constraints.split(","))
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -38,11 +39,25 @@ class SnapshotState:
 
     @staticmethod
     def from_counts(t: Topology, counts: Mapping[str, int]) -> "SnapshotState":
+        """The state with the given count per link id, in either spelling
+        (u-v or v-u), and 0 on the links not named. An unknown id is a
+        KeyError; a link named twice, or a count that is not an integer
+        (numpy integers are), is a ValueError that names the link."""
         vec = [0] * len(t.links)
+        named = set()
         for lid, k in counts.items():
-            if lid not in t.link_index:
+            i = t.link_index.get(lid)
+            if i is None:
                 raise KeyError(f"unknown link '{lid}'")
-            vec[t.link_index[lid]] = int(k)
+            if i in named:
+                raise ValueError(f"link '{t.link_ids[i]}' is given twice")
+            named.add(i)
+            try:
+                vec[i] = operator.index(k)
+            except TypeError:
+                raise ValueError(
+                    f"count {k!r} on link '{t.link_ids[i]}' is not an integer"
+                ) from None
         return SnapshotState(t.link_ids, tuple(vec))
 
     @staticmethod

@@ -562,13 +562,9 @@ def test_series_chains_match_the_name_keyed_walk():
 
 class BfsTree(capacity._ChainTree):
     """Reference conditioning tree: a breadth-first search from the source
-    at every node for the chain to branch on, a walk over the live links at
-    every branching for that chain's series group, and a kept flag for the
+    at every node for the link to branch on, a walk over the live links at
+    every branching for that link's series group, and a kept flag for the
     children that hold pairs on the links of their parent."""
-
-    def __init__(self, t, packer):
-        super().__init__(t, packer)
-        self.chain_firsts = [0xFF << 8 * chain[0] for chain in self.chains]
 
     def _settle(self, s, open_, kept):
         packer = self.packer
@@ -577,44 +573,40 @@ class BfsTree(capacity._ChainTree):
             s = packer._strip(s)
             if not s:
                 return None
-            firsts, rest = self.chain_firsts, open_
+            rest = open_
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                if not s & firsts[bit.bit_length() - 1]:
+                if not s >> 8 * (bit.bit_length() - 1) & 0xFF:
                     live ^= bit
         if not live:
             return s, live, -1
-        adj, chain_of = packer.adj, self.chain_of
-        counts = s.to_bytes(len(chain_of), "little")
+        counts = s.to_bytes(len(packer.links), "little")
         seen = bytearray(packer.num_nodes)
         seen[packer.source] = 1
         queue = [packer.source]
         for u in queue:
-            for idx, w in adj[u]:
+            for idx, w in packer.adj[u]:
                 if counts[idx]:
-                    j = chain_of[idx]
-                    if live >> j & 1:
-                        return s, live, j
+                    if live >> idx & 1:
+                        return s, live, idx
                     if not seen[w]:
                         seen[w] = 1
                         queue.append(w)
-        raise AssertionError("an open chain outlived the strip")
+        raise AssertionError("an open link outlived the strip")
 
-    def _group(self, s, j):
-        """Chain j and every chain joined to it, through internal nodes
-        with exactly two live links in s, one after another."""
-        packer, chain_of = self.packer, self.chain_of
-        counts = s.to_bytes(len(chain_of), "little")
+    def _series_group(self, s, j):
+        """Link j and every link joined to it, through internal nodes with
+        exactly two live links in s, one after another."""
+        packer = self.packer
+        counts = s.to_bytes(len(packer.links), "little")
         joined = {}
         for n in range(packer.num_nodes):
             if n in (packer.source, packer.sink):
                 continue
             links = [idx for idx, _ in packer.adj[n] if counts[idx]]
-            if len(links) != 2:
-                continue
-            a, b = chain_of[links[0]], chain_of[links[1]]
-            if a != b:
+            if len(links) == 2:
+                a, b = links
                 joined.setdefault(a, set()).add(b)
                 joined.setdefault(b, set()).add(a)
         group, frontier = {j}, [j]
@@ -628,10 +620,10 @@ class BfsTree(capacity._ChainTree):
     def _children(self, s, live, j):
         # the group's open members take their least count; its decided
         # members cap it at theirs
-        group = self._group(s, j)
+        group = self._series_group(s, j)
         members = sorted(i for i in group if live >> i & 1)
-        counts = s.to_bytes(len(self.chain_of), "little")
-        cap = min((counts[self.chains[i][0]] for i in group if not live >> i & 1), default=255)
+        counts = s.to_bytes(len(self.pmfs), "little")
+        cap = min((counts[i] for i in group if not live >> i & 1), default=255)
         pmfs = [self.pmfs[i] for i in members]
         top = min(cap + 1, *(len(pmf) for pmf in pmfs))
         if len(members) == 1 and top == len(pmfs[0]):
@@ -641,8 +633,8 @@ class BfsTree(capacity._ChainTree):
             pmf = [tails[k] - tails[k + 1] for k in range(top)]
         base, ones, rest = s, 0, live
         for i in members:
-            base &= self.chain_clear[i]
-            ones += self.chain_ones[i]
+            base &= ~(0xFF << 8 * i)
+            ones += 1 << 8 * i
             rest &= ~(1 << i)
         for k, prob in enumerate(pmf):
             if prob:
@@ -650,7 +642,7 @@ class BfsTree(capacity._ChainTree):
 
     def prefixes(self, depth):
         out = []
-        stack = [(1.0, self.full, (1 << len(self.chains)) - 1, False, 0)]
+        stack = [(1.0, self.full, (1 << len(self.pmfs)) - 1, False, 0)]
         while stack:
             mass, s, open_, kept, level = stack.pop()
             settled = self._settle(s, open_, kept)
@@ -705,7 +697,7 @@ class BfsTree(capacity._ChainTree):
 def traced_exact(t, tree_cls, monkeypatch):
     """exact_capacity of t on one worker with tree_cls as the tree: the
     report, the packer's search node count and memo size, and the settled
-    (state, open mask, branch chain) of every tree node in visit order."""
+    (state, open mask, branch link) of every tree node in visit order."""
     packers, settles = [], []
     settle = tree_cls._settle
 
@@ -771,12 +763,19 @@ def test_exact_zero_chain_joins_its_neighbours_in_series():
     qh, qb = 0.8, 0.6
     t = make_topology({"h": qh, "b": qb}, list(p), p=p, caps=caps)
     tree = capacity._ChainTree(t, topology_packer(t))
-    chain = {tuple(sorted(t.link_ids[l] for l in links)): j for j, links in enumerate(tree.chains)}
-    C, A, B = chain["b-h", "s-b"], chain["s-h",], chain["h-t",]
-    # the root branches on C alone: h has three live links
-    s, live, j, order = tree._settle(tree.full, 0b111, None, {})
-    assert j == C and order[3] is None
-    zero = next(iter(tree._children(s, live, j, order)))
+    sb, bh, A, B = (t.link_index[l] for l in ("s-b", "b-h", "s-h", "h-t"))
+    C = 1 << sb | 1 << bh
+    # the root branches on s-b and decides C in one branching, at its least
+    # count: b joins s-b and b-h, and h has three live links
+    s, live, j, order = tree._settle(tree.full, 0b1111, None, {})
+    assert j == sb and order[3] == {sb: C, bh: C}
+    children = list(tree._children(s, live, j, order))
+    assert [rest for _, _, rest, _ in children] == [1 << A | 1 << B] * 3
+    tails = [tail(2, 0.7, k) * tail(3, 0.55, k) for k in range(3)] + [0.0]
+    assert [prob for prob, *_ in children] == pytest.approx(
+        [tails[k] - tails[k + 1] for k in range(3)], rel=1e-12
+    )
+    zero = children[0]
     assert zero[3] is None  # C at 0: stripped before its node branches
     # with C at 0, A and B form one group, decided in one branching at
     # their least count, with P(min >= k) = P(A >= k) * P(B >= k)
@@ -804,23 +803,22 @@ def test_exact_zero_chain_joins_its_neighbours_in_series():
     assert value == pytest.approx(enumerated(t)[1].value, rel=1e-12, abs=0)
 
 
-def bfs_chain_order(tree, s):
-    """The chains of the stripped state s in the order a breadth-first
+def bfs_link_order(packer, s):
+    """The links of the stripped state s in the order a breadth-first
     search from the source over its links first meets them."""
-    packer = tree.packer
-    counts = s.to_bytes(len(tree.chain_of), "little")
+    counts = s.to_bytes(len(packer.links), "little")
     seen = bytearray(packer.num_nodes)
     seen[packer.source] = 1
-    queue, chains = [packer.source], []
+    queue, links = [packer.source], []
     for u in queue:
         for idx, w in packer.adj[u]:
             if counts[idx]:
-                if tree.chain_of[idx] not in chains:
-                    chains.append(tree.chain_of[idx])
+                if idx not in links:
+                    links.append(idx)
                 if not seen[w]:
                     seen[w] = 1
                     queue.append(w)
-    return chains
+    return links
 
 
 def test_strip_walk_order_matches_a_bfs_of_the_stripped_support():
@@ -830,6 +828,7 @@ def test_strip_walk_order_matches_a_bfs_of_the_stripped_support():
         t, _ = random_instance(rng, max_internal=6, max_edges=12, mux=i % 2 == 1)
         packer = topology_packer(t)
         tree = BfsTree(t, packer)
+        chain_of = {l: set(chain) for chain in series_chains(packer) for l in chain}
         for _ in range(8):
             vec = [int(rng.integers(0, c + 1)) for c in t.capacities]
             s = packer.pack(vec)
@@ -842,11 +841,55 @@ def test_strip_walk_order_matches_a_bfs_of_the_stripped_support():
             s &= keep
             order = tree._reduce(x & keep, *walk)
             assert order == tree._reduce(x & keep, *packer._support_strip(x & keep)[1:])
-            chains = bfs_chain_order(tree, s)
-            assert list(order[2]) == chains
-            assert order[1] == sum(1 << j for j in chains)
-            for j in chains:
-                group = sum(1 << i for i in tree._group(s, j))
-                assert (order[3] or {}).get(j, 1 << j) == group
-                merged += group != 1 << j
+            links = bfs_link_order(packer, s)
+            assert list(order[2]) == links
+            assert order[1] == sum(1 << l for l in links)
+            for l in links:
+                group = tree._series_group(s, l)
+                assert (order[3] or {}).get(l, 1 << l) == sum(1 << i for i in group)
+                # a group beyond one series chain of the full graph
+                merged += not group <= chain_of[l]
     assert walks > 500 and merged > 0
+
+
+def root_chains(t):
+    """The multi-link series chains of t that the root's strip keeps,
+    each asserted to lie inside one group of the root's order."""
+    packer = topology_packer(t)
+    tree = capacity._ChainTree(t, packer)
+    settled = tree._settle(tree.full, (1 << len(t.links)) - 1, None, {})
+    if settled is None:
+        return 0
+    _, present, _, joined = settled[3]
+    kept = 0
+    for chain in series_chains(packer):
+        mask = sum(1 << l for l in chain)
+        if len(chain) > 1 and present & mask:
+            assert present & mask == mask, chain  # the strip keeps all of it
+            assert all((joined or {}).get(l, 0) & mask == mask for l in chain), chain
+            kept += 1
+    return kept
+
+
+def test_root_groups_hold_the_series_chains():
+    kept = sum(root_chains(datasets.load_dataset(name)) for name in datasets.DATASETS)
+    assert kept > 0
+    rng = np.random.default_rng(20261021)
+    kept = 0
+    for i in range(200):
+        kept += root_chains(random_instance(rng, max_internal=6, max_edges=10, mux=i % 2 == 1)[0])
+    assert kept > 20
+
+
+def test_exact_tree_reads_no_chain_table(abilene, monkeypatch):
+    # the tree's variables are links, and unit counts pack without chains
+    packers = []
+
+    def packer_of(t):
+        packers.append(topology_packer(t))
+        return packers[-1]
+
+    monkeypatch.setattr(capacity, "topology_packer", packer_of)
+    assert exact_capacity(abilene, threads=1).value == 0.830100231468835
+    (packer,) = packers
+    assert "chain_table" not in vars(packer)

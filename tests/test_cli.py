@@ -325,6 +325,27 @@ def test_verify_assignment_file(tmp_path, capsys):
     assert "FEASIBLE" in out
 
 
+def test_files_named_without_yaml_or_slash_are_read(tmp_path, monkeypatch, capsys):
+    # a bare file name is a file, not YAML text
+    monkeypatch.chdir(tmp_path)
+    exports = (("five_node", "five_node_net"), ("demo_c9", "c9"), ("demo_c9_bad", "c9bad"))
+    for name, target in exports:
+        assert run(capsys, "datasets", "export", name, "--out", target)[0] == 0
+    code, out, err = run(capsys, "capacity", "--topology", "five_node_net", "--threads", "1")
+    assert (code, err) == (0, "")
+    assert "capacity:             1.2121288023864227" in out
+    bundled = run(capsys, "verify", "--topology", "demo_c9", "--assignment", "demo_c9_bad")
+    assert bundled[0] == 0 and "C9: FAIL" in bundled[1]
+    assert run(capsys, "verify", "--topology", "c9", "--assignment", "c9bad") == bundled
+
+
+def test_verify_missing_assignment_file_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--topology", "five_node", "--assignment", "c9bad")
+    assert code == 1 and out == ""
+    assert err == "error: [Errno 2] No such file or directory: 'c9bad'\n"
+
+
 def test_verify_flags_a_fractional_matching(tmp_path, capsys):
     path = tmp_path / "half.yaml"
     path.write_text(

@@ -130,6 +130,21 @@ def test_counts_mapping_omits_zeros(five_node):
     assert s.vector[five_node.link_index["0-1"]] == 2
 
 
+def test_from_counts_refuses_a_repeat_or_a_non_integer(abilene):
+    for counts in ({"s-1": 1, "1-s": 0}, {"1-s": 1, "s-1": 1}):
+        with pytest.raises(ValueError, match="link 's-1' is given twice"):
+            SnapshotState.from_counts(abilene, counts)
+    for bad in (2.7, 1.0, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match=r"count .* on link 's-1' is not an integer"):
+            SnapshotState.from_counts(abilene, {"1-s": bad})
+    with pytest.raises(KeyError, match="unknown link 's-9'"):
+        SnapshotState.from_counts(abilene, {"s-9": 1})
+    # integers pass, numpy ones as plain ints
+    s = SnapshotState.from_counts(abilene, {"1-s": np.int64(1), "2-1": 1})
+    assert s.counts == {"1-2": 1, "s-1": 1}
+    assert all(type(k) is int for k in s.vector)
+
+
 def test_unit_transform_identity_when_unit_counts(five_node):
     s = SnapshotState.from_counts(five_node, {"0-1": 1, "3-4": 1})
     t2, s2 = to_unit_capacity(five_node, s)
