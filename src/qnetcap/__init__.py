@@ -2,10 +2,10 @@
 
 Computes, for one source-sink pair, the expected number of end-to-end
 entangled pairs per time slot: exactly (a conditioning tree over the
-network's series chains, each chain a maximal run of links through
-internal nodes of degree 2, with the path packer's optimum at the
-leaves), bounded (most likely states), or sampled (Monte Carlo), with a
-local-knowledge greedy routing baseline for comparison.
+network's links, with series reductions at every node and the path
+packer's optimum at the leaves), bounded (most likely states), or sampled
+(Monte Carlo), with a local-knowledge greedy routing baseline for
+comparison.
 """
 
 from .capacity import (

@@ -24,16 +24,16 @@ two live links joins them into one group, since a path through it takes
 one pair of each, and the branch link's whole group is decided in one
 branching, at the group's least count. Its open members' tails multiply,
 and a member decided earlier caps the count at its own (Satyanarayana &
-Wood, Networks 15, 1985). At the root this groups each maximal chain of
-links through internal nodes of degree 2 that the strip keeps, so the
-chain is decided at once.
+Wood, Networks 15, 1985). At the root these are the groups at which
+PathPacker.pack keeps every state, each decided at once.
 
-Which link is nearest, and the groups, depend only on the settled
-node's support (the links that hold pairs), so both are read once per
-support off the strip's own breadth-first walk (PathPacker._support_strip),
-in a table that each job keeps beside its memo. A child that decides its
-group at k > 0 pairs keeps the links of its parent: it takes the parent's
-order and is not stripped.
+Which link is nearest, and the groups, depend only on the settled node's
+support (the links that hold pairs), so both are read once per support off
+the strip's own breadth-first walk (PathPacker._support_strip) by the
+packer's one series reduction (PathPacker._reduce), in a table that each
+job keeps beside its memo. A child that decides its group at k > 0 pairs
+keeps the links of its parent: it takes the parent's order and is not
+stripped.
 
 Runs split their work into fixed jobs: chunks of samples, or the subtrees
 TREE_JOB_DEPTH levels below the root of the tree. Each job's terms are
@@ -259,16 +259,11 @@ class _ChainTree:
 
     The series reductions of a settled node depend only on its support
     (the links that hold pairs), and are read off the strip walk that
-    settled it (PathPacker._support_strip) as its order:
-    (support, present, links, joined). links lists every link the support
-    holds, in the order the walk's breadth-first search first meets it,
-    and present is the bit mask of those links. joined maps each link
-    joined to others at internal nodes with two live links to the bit
-    mask of its group, the links so joined (None if there are none): a
-    path uses all of a group or none of it, so only the group's least
-    count matters. At the root, each series chain of the full graph that
-    the strip keeps is so joined. Each job keeps the orders in a table of
-    its own (orders), keyed on the support.
+    settled it (PathPacker._support_strip) by PathPacker._reduce as its
+    order: (support, present, links, joined), the links in the walk's
+    order and each joined link's group. The root's groups are those that
+    PathPacker.pack sets to their least counts. Each job keeps the orders
+    in a table of its own (orders), keyed on the support.
 
     A node branches on the first open link of its order and decides the
     open members of its group at once. Their least count has
@@ -282,41 +277,8 @@ class _ChainTree:
         self.packer = packer
         self.full = packer.pack(t.capacities)
         self.pmfs = link_pmfs(t)
-        self.internal = [n not in (packer.source, packer.sink) for n in range(packer.num_nodes)]
         self.groups: dict[tuple[int, int], tuple] = {}
         self.open_shift = 8 * len(t.links)  # interior memo keys: open mask above the state
-
-    def _reduce(self, x: int, queue: list, deg: list, live: list) -> tuple:
-        """The order of the settled support x (see the class docstring),
-        from the strip walk's queue, live degrees and live links."""
-        adj, internal = self.packer.adj, self.internal
-        present = 0
-        links = []
-        joins = []
-        for u in queue:
-            d = deg[u]
-            if d > 0:
-                first = -1
-                for idx, _ in adj[u]:
-                    if live[idx]:
-                        if not present >> idx & 1:
-                            present |= 1 << idx
-                            links.append(idx)
-                        if d == 2:  # an internal u joins its two live links
-                            if first < 0:
-                                first = idx
-                            elif internal[u]:
-                                joins.append((first, idx))
-        joined = None
-        if joins:
-            joined = {}
-            for a, b in joins:
-                group = rest = joined.get(a, 1 << a) | joined.get(b, 1 << b)
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    joined[bit.bit_length() - 1] = group
-        return x, present, tuple(links), joined
 
     def _settle(
         self, s: int, open_: int, order: Optional[tuple], orders: dict
@@ -347,7 +309,7 @@ class _ChainTree:
             if order is None:
                 if walk is None:
                     _, *walk = packer._support_strip(x)
-                order = orders[x] = self._reduce(x, *walk)
+                order = orders[x] = packer._reduce(x, *walk)
             open_ &= order[1]
         if open_:
             for j in order[2]:

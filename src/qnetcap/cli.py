@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -87,16 +88,13 @@ def _parse_state(t: Topology, spec: str) -> SnapshotState:
         lid = lid.strip()
         if lid not in t.link_index:
             raise TopologyError([f"state: unknown link '{lid}'"])
-        try:
-            count = int(raw) if eq else 1
-        except ValueError:
-            raise TopologyError(
-                [f"state: count '{raw.strip()}' on link '{lid}' is not an integer"]
-            ) from None
+        count = raw.strip() if eq else "1"
+        if not re.fullmatch("[+-]?[0-9]+", count):  # int() also takes "1_0" and "٢"
+            raise TopologyError([f"state: count '{count}' on link '{lid}' is not an integer"])
         canonical = t.link_ids[t.link_index[lid]]
         if canonical in counts:
             raise TopologyError([f"state: link '{canonical}' is given twice"])
-        counts[canonical] = count
+        counts[canonical] = int(count)
     state = SnapshotState.from_counts(t, counts)
     check_vector(t, state.vector)
     return state

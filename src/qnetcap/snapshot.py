@@ -232,9 +232,9 @@ class PairSlots:
     its pair with the link's p; draws per-link pair counts."""
 
     def __init__(self, t: Topology):
-        caps = t.capacities
+        caps = np.asarray(t.capacities, dtype=np.int64)
         self.p = np.repeat(np.asarray(t.probabilities), caps)
-        self.offsets = np.concatenate(([0], np.cumsum(caps)[:-1]))
+        self.offsets = np.cumsum(caps) - caps  # each link's first slot; empty with no links
 
     def draw(self, gen: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
         """Counts of one state, or of n states, one row each."""

@@ -27,8 +27,12 @@ memo holds exact optima only.
 A search state is one int, the packed state: byte i holds the pair count
 of link i, which MAX_LINK_PAIRS keeps within a byte. value and
 best_packing pack their count vector once (PathPacker.pack), with each
-series chain (links joined at internal nodes of degree 2) at its least
-count, as a path uses all of a chain or none. A path's byte mask has a 1
+series group at its least count, as a path uses all of a group or none.
+The groups are those of the strip walk of the full state (see below):
+links joined at internal nodes that the strip leaves with two live links.
+A smaller support's strip keeps no link that the full one drops, so a
+node with two live links there has at most two in any state, and each
+group is a series group of every state. A path's byte mask has a 1
 in the byte of each of its links, so routing the path is one subtraction,
 which never borrows where every link holds a pair, and dropping a link is
 one AND.
@@ -41,9 +45,10 @@ not on how many they hold. The support is folded out of the state with
 three shifts (bit 8i is set when link i holds pairs), and each packer
 keeps a keep mask per support in a strip table of at most STRIP_CAP
 supports, computing the strip only on a miss, by one breadth-first walk
-from the source (PathPacker._support_strip) whose visit order and live
-degrees the capacity engine's tree also reads. The memo is keyed on the
-stripped state itself.
+from the source (PathPacker._support_strip). PathPacker._reduce reads the
+series groups off a walk's visit order and live degrees: for pack on the
+full state, and for the capacity engine's tree at each of its settled
+supports. The memo is keyed on the stripped state itself.
 """
 
 from __future__ import annotations
@@ -76,8 +81,10 @@ class PathPacker:
 
     States are packed (see pack): byte i of the int is the pair count of
     link i, and every stripped state, so every memo key and every state
-    _bound reads, holds each series chain at its least count. The support
-    of a state s is the fold
+    _bound reads, holds each group of chain_table at its least count:
+    the series groups that _reduce finds on the strip walk of the full
+    support, which are the root groups of the capacity engine's tree.
+    The support of a state s is the fold
     x = s | s >> 4; x |= x >> 2; x |= x >> 1; x & ones, with bit 8i set
     when link i holds pairs (ones has a 1 in every link's byte). The strip
     table (strips) maps a support to its keep mask: 0xFF in the byte of
@@ -86,9 +93,9 @@ class PathPacker:
     supports; later misses are stripped but not stored, so the table never
     evicts and a stored answer stays valid. A miss is one walk
     (_support_strip), which also hands back its breadth-first visit order,
-    the live degree of each node and the live links, as the stripped
-    support has them. The memo (memo, and _rebuild_memo for best_packing)
-    is keyed on the stripped state.
+    the live degree of each node and the live links, as the stripped support
+    has them, from which _reduce reads the series groups. The memo (memo,
+    and _rebuild_memo for best_packing) is keyed on the stripped state.
 
     The route table (routes) holds each source link's paths on the full
     graph (_routes), best gain first; the first one's gain is the link's
@@ -111,6 +118,7 @@ class PathPacker:
         self.links = tuple((int(u), int(v)) for u, v in links)
         self.gains = tuple(float(g) for g in gains)
         self.source, self.sink = source, sink
+        self.internal = [n != source and n != sink for n in range(num_nodes)]
         adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
         for idx, (u, v) in enumerate(self.links):
             adj[u].append((idx, v))
@@ -133,7 +141,8 @@ class PathPacker:
         self.nodes_explored = 0
 
     def pack(self, counts: Sequence[int]) -> int:
-        """The packed count vector: byte i is counts[i], or its chain's least count."""
+        """The packed count vector: byte i is counts[i], or, once some count
+        is above 1, the least count of its series group (see chain_table)."""
         if len(counts) != len(self.links):
             raise ValueError(
                 f"count vector has {len(counts)} entries, the packer has {len(self.links)} links"
@@ -142,18 +151,22 @@ class PathPacker:
         if len(data) != len(counts):  # a buffer of wider items, such as a numpy int64 array
             data = bytearray(list(counts))
         s = int.from_bytes(data, "little")
-        if max(data, default=0) > 1:  # else the strip leaves each chain at its least count
+        if max(data, default=0) > 1:  # else the strip leaves each group at its least count
             for chain, ones, clear in zip(*self.chain_table):
-                if len(chain) > 1:
-                    s = s & clear | min(map(data.__getitem__, chain)) * ones
+                s = s & clear | min(map(data.__getitem__, chain)) * ones
         return s
 
     @cached_property
     def chain_table(self) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-        """(chains, ones, clear), found on first use: the packer's series
-        chains (see series_chains); per chain, a 1 in the byte of each of its
-        links; and per chain, the mask that zeroes those bytes."""
-        chains = series_chains(self)
+        """(chains, ones, clear), found on first use: the series groups of
+        two or more links that _reduce finds on the strip walk of the full
+        support, each as its sorted link indices, in the order of their
+        first links; per group, a 1 in the byte of each of its links; and
+        per group, the mask that zeroes those bytes."""
+        keep, *walk = self._support_strip(self.ones)
+        joined = keep and self._reduce(self.ones, *walk)[3] or {}  # none if the sink is cut off
+        links = range(len(self.links))
+        chains = sorted(tuple(l for l in links if group >> l & 1) for group in {*joined.values()})
         ones = [sum(1 << 8 * l for l in chain) for chain in chains]
         return chains, ones, [self.ones * 0xFF ^ mask * 0xFF for mask in ones]
 
@@ -243,6 +256,47 @@ class PathPacker:
         if len(self.strips) < STRIP_CAP:
             self.strips[x] = keep
         return keep, queue, deg, live
+
+    def _reduce(self, x: int, queue: list, deg: list, live: list) -> tuple:
+        """The series reductions of the settled support x, read off its
+        strip walk's queue, live degrees and live links (see
+        _support_strip), as (support, present, links, joined).
+
+        links lists every link the support holds, in the order the walk's
+        breadth-first search first meets it, and present is the bit mask
+        of those links. joined maps each link joined to others at internal
+        nodes with two live links to the bit mask of its group, the links
+        so joined (None if there are none): a path uses all of a group or
+        none of it, so only the group's least count matters.
+        """
+        adj, internal = self.adj, self.internal
+        present = 0
+        links = []
+        joins = []
+        for u in queue:
+            d = deg[u]
+            if d > 0:
+                first = -1
+                for idx, _ in adj[u]:
+                    if live[idx]:
+                        if not present >> idx & 1:
+                            present |= 1 << idx
+                            links.append(idx)
+                        if d == 2:  # an internal u joins its two live links
+                            if first < 0:
+                                first = idx
+                            elif internal[u]:
+                                joins.append((first, idx))
+        joined = None
+        if joins:
+            joined = {}
+            for a, b in joins:
+                group = rest = joined.get(a, 1 << a) | joined.get(b, 1 << b)
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    joined[bit.bit_length() - 1] = group
+        return x, present, tuple(links), joined
 
     def _branch(self, s: int, support: int):
         """Yields (gain, prefix, rest) once per child of a stripped state s
@@ -463,31 +517,6 @@ def index_network(
     index = {n: i for i, n in enumerate(ids)}
     links = [(index[u], index[v]) for u, v in links]
     return PathPacker(ids, links, [gains[n] for n in ids], index[source], index[sink])
-
-
-def series_chains(packer: PathPacker) -> list[tuple[int, ...]]:
-    """Link indices of each maximal chain of the packer's links joined at
-    internal nodes of degree 2, in the order of the chains' first links; a
-    link at no such node is a chain of its own. A chain may close into a cycle."""
-    adj, ends = packer.adj, (packer.source, packer.sink)
-    seen = bytearray(len(packer.links))
-    chains = []
-    for i in range(len(packer.links)):
-        if seen[i]:
-            continue
-        seen[i] = 1
-        chain, frontier = [i], [i]
-        while frontier:
-            for n in packer.links[frontier.pop()]:
-                if len(adj[n]) != 2 or n in ends:
-                    continue
-                for j, _ in adj[n]:
-                    if not seen[j]:
-                        seen[j] = 1
-                        chain.append(j)
-                        frontier.append(j)
-        chains.append(tuple(sorted(chain)))
-    return chains
 
 
 @dataclass(frozen=True)

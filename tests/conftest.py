@@ -120,30 +120,40 @@ def random_instance(
         return t, SnapshotState.from_vector(t, vec)
 
 
-def reference_series_chains(t):
-    """series_chains as it was before it read the packer's graph: over node
-    names, with its own incidence map."""
+def reference_root_groups(t):
+    """The series groups of two or more links of t's full graph, over node
+    names, with its own incidence map: the links the source cannot reach
+    are dropped and leaves peeled, then links are joined at each internal
+    node with two kept links. Each group is its sorted link indices, in the
+    order of their first links."""
+    ends = (t.source, t.sink)
     at = {}
     for i, link in enumerate(t.links):
-        at.setdefault(link.u, []).append(i)
-        at.setdefault(link.v, []).append(i)
-    joints = {n for n, links in at.items() if len(links) == 2 and n not in (t.source, t.sink)}
-    chain_of = [None] * len(t.links)
-    chains = []
-    for i in range(len(t.links)):
-        if chain_of[i] is not None:
-            continue
-        chain_of[i] = len(chains)
-        chain, frontier = [i], [i]
-        while frontier:
-            link = t.links[frontier.pop()]
-            for n in (link.u, link.v):
-                if n not in joints:
-                    continue
-                for j in at[n]:
-                    if chain_of[j] is None:
-                        chain_of[j] = len(chains)
-                        chain.append(j)
-                        frontier.append(j)
-        chains.append(tuple(sorted(chain)))
-    return chains
+        at.setdefault(link.u, set()).add(i)
+        at.setdefault(link.v, set()).add(i)
+    reached, frontier = {t.source}, [t.source]
+    while frontier:
+        for i in at.get(frontier.pop(), ()):
+            for n in (t.links[i].u, t.links[i].v):
+                if n not in reached:
+                    reached.add(n)
+                    frontier.append(n)
+    kept = {i for i, link in enumerate(t.links) if link.u in reached}
+    if t.sink not in reached:
+        kept = set()
+    while True:
+        leaves = [n for n, links in at.items() if n not in ends and len(links & kept) == 1]
+        if not leaves:
+            break
+        for n in leaves:
+            kept -= at[n]
+    group_of = {i: {i} for i in kept}
+    for n, links in at.items():
+        pair = links & kept
+        if n not in ends and len(pair) == 2:
+            a, b = pair
+            merged = group_of[a] | group_of[b]
+            for i in merged:
+                group_of[i] = merged
+    groups = {tuple(sorted(group)) for group in group_of.values() if len(group) > 1}
+    return sorted(groups)

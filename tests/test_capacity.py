@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_topology, random_instance, reference_series_chains
+from conftest import make_topology, random_instance, reference_root_groups
 from qnetcap import capacity, datasets
 from qnetcap.capacity import (
     SAMPLE_CHUNK,
@@ -24,7 +24,6 @@ from qnetcap.capacity import (
 )
 from qnetcap.montecarlo import SimConfig, simulate_local_knowledge
 from qnetcap.snapshot import num_states
-from qnetcap.solver import series_chains
 
 
 def single_link(p=0.3):
@@ -462,7 +461,7 @@ def test_exact_multiplexed_chain_is_expected_minimum():
     c = {("s", "a"): 3, ("a", "b"): 5, ("b", "c"): 2, ("c", "t"): 4}
     q = {"a": 0.8, "b": 0.5, "c": 0.9}
     t = make_topology(q, list(p), p=p, caps=c)
-    assert series_chains(topology_packer(t)) == [(0, 1, 2, 3)]
+    assert topology_packer(t).chain_table[0] == [(0, 1, 2, 3)]
     expected = math.fsum(
         math.prod(tail(c[l], p[l], k) for l in p) for k in range(1, 3)
     ) * math.prod(q.values())
@@ -488,7 +487,7 @@ def test_exact_parallel_routes_at_count_255(depth, monkeypatch):
     # depth 0 runs the whole tree as one job, under one memo
     monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
     t = parallel_routes_at_255()
-    assert series_chains(topology_packer(t)) == [(0, 1), (2,)]
+    assert topology_packer(t).chain_table[0] == [(0, 1)]
     expected = 255 * 0.3 + 0.7 * math.fsum(
         tail(255, 0.6, k) * tail(255, 0.45, k) for k in range(1, 256)
     )
@@ -521,6 +520,16 @@ def test_exact_abilene_mux3_is_pinned(abilene):
     assert exact_capacity(t, threads=2, budget=None).value == 3.1875812178752434
 
 
+def test_a_topology_with_no_links_is_worth_zero_in_every_mode():
+    t = make_topology({}, [])
+    assert exact_capacity(t, threads=1).value == 0.0
+    assert truncated_capacity(t, 10).value == 0.0
+    report = sampled_capacity(t, 10, threads=1)
+    assert (report.value, report.stderr) == (0.0, 0.0)
+    result = simulate_local_knowledge(t, SimConfig(samples=10), threads=1)
+    assert (result.mean, result.stderr) == (0.0, 0.0)
+
+
 def test_negative_thread_counts_are_refused(five_node):
     calls = [
         lambda: exact_capacity(five_node, threads=-2),
@@ -533,26 +542,26 @@ def test_negative_thread_counts_are_refused(five_node):
 
 
 def test_series_chains_follow_degree_two_nodes():
-    # a joins s-a and a-b; b has degree 4, so b-t is a chain of its own and
-    # c and d close b-c-d-b into a cycle; s and t join nothing
+    # a joins s-a and a-b; b has degree 4, so b-t is in no group, and c and
+    # d close b-c-d-b into a cycle, which the strip keeps; s and t join nothing
     pairs = [
         ("s", "a"), ("a", "b"), ("b", "t"), ("b", "c"), ("c", "d"), ("d", "b"), ("s", "t"),
     ]
     t = make_topology({n: 0.9 for n in "abcd"}, pairs)
-    chains = [[t.link_ids[l] for l in chain] for chain in series_chains(topology_packer(t))]
-    assert chains == [["a-b", "s-a"], ["b-c", "d-b", "c-d"], ["b-t"], ["s-t"]]
+    chains = [[t.link_ids[l] for l in chain] for chain in topology_packer(t).chain_table[0]]
+    assert chains == [["a-b", "s-a"], ["b-c", "d-b", "c-d"]]
 
 
 def test_series_chains_match_the_name_keyed_walk():
     for name in datasets.DATASETS:
         t = datasets.load_dataset(name)
-        assert series_chains(topology_packer(t)) == reference_series_chains(t), name
+        assert topology_packer(t).chain_table[0] == reference_root_groups(t), name
     rng = np.random.default_rng(21)
     cycles = 0
     for i in range(300):
         t, _ = random_instance(rng, mux=i % 2 == 1)
-        chains = series_chains(topology_packer(t))
-        assert chains == reference_series_chains(t), i
+        chains = topology_packer(t).chain_table[0]
+        assert chains == reference_root_groups(t), i
         # a chain that closes into a cycle has as many nodes as links
         for chain in chains:
             ends = {n for l in chain for n in (t.links[l].u, t.links[l].v)}
@@ -828,7 +837,7 @@ def test_strip_walk_order_matches_a_bfs_of_the_stripped_support():
         t, _ = random_instance(rng, max_internal=6, max_edges=12, mux=i % 2 == 1)
         packer = topology_packer(t)
         tree = BfsTree(t, packer)
-        chain_of = {l: set(chain) for chain in series_chains(packer) for l in chain}
+        chain_of = {l: set(chain) for chain in packer.chain_table[0] for l in chain}
         for _ in range(8):
             vec = [int(rng.integers(0, c + 1)) for c in t.capacities]
             s = packer.pack(vec)
@@ -839,36 +848,36 @@ def test_strip_walk_order_matches_a_bfs_of_the_stripped_support():
                 continue
             walks += 1
             s &= keep
-            order = tree._reduce(x & keep, *walk)
-            assert order == tree._reduce(x & keep, *packer._support_strip(x & keep)[1:])
+            order = packer._reduce(x & keep, *walk)
+            assert order == packer._reduce(x & keep, *packer._support_strip(x & keep)[1:])
             links = bfs_link_order(packer, s)
             assert list(order[2]) == links
             assert order[1] == sum(1 << l for l in links)
             for l in links:
                 group = tree._series_group(s, l)
                 assert (order[3] or {}).get(l, 1 << l) == sum(1 << i for i in group)
-                # a group beyond one series chain of the full graph
-                merged += not group <= chain_of[l]
+                # a group beyond one series group of the full graph
+                merged += not group <= chain_of.get(l, {l})
     assert walks > 500 and merged > 0
 
 
 def root_chains(t):
-    """The multi-link series chains of t that the root's strip keeps,
-    each asserted to lie inside one group of the root's order."""
+    """The number of series groups of t's full graph (reference_root_groups),
+    each asserted to be one group of the root's order, which has no other."""
     packer = topology_packer(t)
     tree = capacity._ChainTree(t, packer)
     settled = tree._settle(tree.full, (1 << len(t.links)) - 1, None, {})
+    chains = reference_root_groups(t)
     if settled is None:
+        assert chains == []
         return 0
     _, present, _, joined = settled[3]
-    kept = 0
-    for chain in series_chains(packer):
-        mask = sum(1 << l for l in chain)
-        if len(chain) > 1 and present & mask:
-            assert present & mask == mask, chain  # the strip keeps all of it
-            assert all((joined or {}).get(l, 0) & mask == mask for l in chain), chain
-            kept += 1
-    return kept
+    masks = [sum(1 << l for l in chain) for chain in chains]
+    for chain, mask in zip(chains, masks):
+        assert present & mask == mask, chain  # the strip keeps all of it
+        assert all((joined or {}).get(l, 0) == mask for l in chain), chain
+    assert set((joined or {}).values()) == set(masks)
+    return len(chains)
 
 
 def test_root_groups_hold_the_series_chains():

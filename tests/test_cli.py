@@ -45,6 +45,22 @@ def test_capacity_topology_from_file(tmp_path, capsys):
     assert "capacity:             0.3" in out
 
 
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (("capacity", "--mode", "sampled", "--samples", "10", "--threads", "1"), "capacity:"),
+        (("simulate", "--samples", "10"), "mean delivered:"),
+    ],
+)
+def test_sampling_a_topology_with_no_links_reports_zero(tmp_path, capsys, argv, label):
+    path = tmp_path / "net.yaml"
+    path.write_text("nodes: [{id: s}, {id: t}]\nlinks: []\nendpoints: {source: s, sink: t}\n")
+    code, out, _ = run(capsys, argv[0], "--topology", str(path), *argv[1:])
+    assert code == 0
+    rows = [line.rsplit(None, 1) for line in out.splitlines()]
+    assert [label, "0.0"] in rows and ["stderr:", "0.0"] in rows
+
+
 def test_capacity_link_id_naming_two_links_is_an_error(tmp_path, capsys):
     # with '-' in node ids, links (a-b, t) and (a, b-t) are both "a-b-t"
     path = tmp_path / "net.yaml"
@@ -275,7 +291,7 @@ def test_snapshot_refuses_a_link_given_twice(capsys, spec):
     assert err == "error: state: link 's-1' is given twice\n"
 
 
-@pytest.mark.parametrize("raw", ["abc", "1.5", ""])
+@pytest.mark.parametrize("raw", ["abc", "1.5", "", "1_0", "\u0662"])
 def test_snapshot_rejects_non_integer_count(capsys, raw):
     code, _, err = run(
         capsys, "snapshot", "--topology", "abilene", "--state", f"s-1={raw}"

@@ -12,7 +12,7 @@ from conftest import (
     directed_state,
     make_topology,
     random_instance,
-    reference_series_chains,
+    reference_root_groups,
     solve_state,
     two_route_network,
 )
@@ -1008,10 +1008,10 @@ def assert_search_matches(t, states):
     end, that every packer memo entry is the reference's, and the path
     rebuild memos entry by entry. The reference keys its memos on raw
     counts, so they are compared at each chain's least count
-    (chain_min_keys over reference_series_chains)."""
+    (chain_min_keys over reference_root_groups)."""
     from qnetcap.capacity import topology_packer
 
-    chains = reference_series_chains(t)
+    chains = reference_root_groups(t)
     packer = topology_packer(t)
     ref = ReferencePacker(packer)
     for counts in states:
@@ -1047,15 +1047,14 @@ def test_search_matches_list_reference_on_deep_topologies():
 
 
 def raise_chains(chains, counts, rng):
-    """counts with each link of a multi-link chain but its first least one
-    raised, at random, by 1 to 3 pairs, so the chain's least count stays."""
+    """counts with each link of a series group but its first least one
+    raised, at random, by 1 to 3 pairs, so the group's least count stays."""
     counts = list(counts)
     for chain in chains:
-        if len(chain) > 1:
-            keep = min(chain, key=lambda l: counts[l])
-            for l in chain:
-                if l != keep and rng.random() < 0.7:
-                    counts[l] += int(rng.integers(1, 4))
+        keep = min(chain, key=lambda l: counts[l])
+        for l in chain:
+            if l != keep and rng.random() < 0.7:
+                counts[l] += int(rng.integers(1, 4))
     return counts
 
 
@@ -1066,7 +1065,7 @@ def assert_chain_min_states_match(t, states):
     (see assert_search_matches)."""
     from qnetcap.capacity import topology_packer
 
-    chains = reference_series_chains(t)
+    chains = reference_root_groups(t)
     packer = topology_packer(t)
     for counts in states:
         assert chain_min(chains, counts) != counts
@@ -1078,8 +1077,8 @@ def assert_chain_min_states_match(t, states):
 def test_chain_min_states_match_the_reference_on_five_node(five_node):
     # the full state [2, 3, 2, 1, 4, 3, 3] holds chains (1, 4) at 3 and 4
     # pairs and (2, 6) at 2 and 3
-    chains = reference_series_chains(five_node)
-    assert [chain for chain in chains if len(chain) > 1] == [(1, 4), (2, 6)]
+    chains = reference_root_groups(five_node)
+    assert chains == [(1, 4), (2, 6)]
     rng = np.random.default_rng(STRIP_DRAW_SEED)
     states = [list(five_node.capacities)]
     states += [raise_chains(chains, five_node.capacities, rng) for _ in range(20)]
@@ -1087,7 +1086,7 @@ def test_chain_min_states_match_the_reference_on_five_node(five_node):
 
 
 def test_chain_min_states_match_the_reference_on_abilene_mux2(abilene_mux2):
-    chains = reference_series_chains(abilene_mux2)
+    chains = reference_root_groups(abilene_mux2)
     rng = np.random.default_rng(STRIP_DRAW_SEED)
     states = [raise_chains(chains, s, rng) for s in drawn_states(abilene_mux2, 100)]
     assert_chain_min_states_match(abilene_mux2, [s for s in states if chain_min(chains, s) != s])
@@ -1098,12 +1097,28 @@ def test_chain_min_states_match_the_reference_on_random_mux_networks():
     checked = 0
     for _ in range(200):
         t, state = random_instance(rng, max_internal=5, max_edges=10, mux=True)
-        chains = reference_series_chains(t)
+        chains = reference_root_groups(t)
         counts = raise_chains(chains, state.vector, rng)
         if chain_min(chains, counts) != counts:
             assert_chain_min_states_match(t, [counts])
             checked += 1
     assert checked > 20
+
+
+def test_pack_joins_two_live_links_beside_a_dead_end():
+    # a has three links, but the strip of the full graph peels the dead end
+    # a-d, which leaves s-a and a-t as one group, packed at its least count
+    from qnetcap.capacity import topology_packer
+
+    caps = {("s", "a"): 3, ("a", "t"): 2, ("a", "d"): 1, ("s", "t"): 1}
+    t = make_topology({"a": 0.7, "d": 0.5}, list(caps), caps=caps)
+    sa, at = t.link_index["s-a"], t.link_index["a-t"]
+    assert topology_packer(t).chain_table[0] == reference_root_groups(t) == [(sa, at)]
+    counts = list(t.capacities)  # s-a at 3 pairs, a-t at 2
+    packed = list(counts)
+    packed[sa] = 2
+    assert topology_packer(t).pack(counts) == raw(packed)
+    assert_chain_min_states_match(t, [counts])
 
 
 @settings(max_examples=200, deadline=None)
