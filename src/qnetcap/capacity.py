@@ -142,12 +142,13 @@ def _on_worker(fn, job):
 
 def _run_chunks(state, jobs: Sequence, fn, threads: int) -> Iterator:
     """fn(state, job) for each job in job order; threads = 0 takes every
-    core, and more than one worker runs in a fork pool, whose workers
-    inherit state as built. A negative thread count is refused at once."""
+    core, and more than one worker (never more than there are jobs) runs in
+    a fork pool, whose workers inherit state as built. A negative thread
+    count is refused at once."""
     if threads < 0:
         raise ValueError(f"thread count must be >= 0, got {threads}")
-    workers = threads or os.cpu_count() or 1
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(threads or os.cpu_count() or 1, len(jobs))
+    if workers <= 1:
         return map(partial(fn, state), jobs)
     return _pooled(state, jobs, fn, workers)
 
@@ -487,38 +488,28 @@ def truncated_capacity(t: Topology, k: int) -> CapacityReport:
     packer = topology_packer(t)
     full_cap = packer.value(t.capacities)
     pmfs = link_pmfs(t)
-    bases = state_bases(t)
-    n_links = len(bases)
-    # per-link counts ranked by decreasing probability (ties: lower count),
-    # the probability of each rank, and the step in the state index from
-    # each rank to the next (encode_index: the last link varies fastest)
-    ranked = [
-        sorted(range(bases[l]), key=lambda c: (-pmfs[l][c], c)) for l in range(n_links)
-    ]
-    rank_pmf = [[pmfs[l][c] for c in ranked[l]] for l in range(n_links)]
-    weight = math.prod(bases)
-    steps = []
-    for l in range(n_links):
-        weight //= bases[l]
-        steps.append([(b - a) * weight for a, b in zip(ranked[l], ranked[l][1:])])
-
-    def state_of(rank_vec: tuple[int, ...]) -> list[int]:
-        return [ranked[l][r] for l, r in enumerate(rank_vec)]
-
-    root = (0,) * n_links
-    heap = [(-math.prod([p[0] for p in rank_pmf]), encode_index(bases, state_of(root)), root, 0)]
+    # each link's counts by decreasing probability (ties: lower count), as
+    # a map from each count to the next; a state steps one link along its
+    # map, and only links from its parent's stepped link on, so each state
+    # is pushed once. Equal probabilities pop in state order, which is the
+    # index order (encode_index: the last link varies fastest), as a step
+    # between equally likely counts raises the count
+    ranked = [sorted(range(len(pmf)), key=lambda c: (-pmf[c], c)) for pmf in pmfs]
+    after = [dict(zip(counts, counts[1:])) for counts in ranked]
+    root = tuple(counts[0] for counts in ranked)
+    heap = [(-math.prod([pmf[x] for pmf, x in zip(pmfs, root)]), root, 0)]
     terms: list[float] = []
     probs: list[float] = []
     while heap and len(probs) < k:
-        neg_prob, index, rank_vec, min_l = heapq.heappop(heap)
-        terms.append(-neg_prob * packer.value(state_of(rank_vec)))
+        neg_prob, state, first = heapq.heappop(heap)
+        terms.append(-neg_prob * packer.value(state))
         probs.append(-neg_prob)
-        for l in range(min_l, n_links):
-            r = rank_vec[l]
-            if r + 1 < bases[l]:
-                child = rank_vec[:l] + (r + 1,) + rank_vec[l + 1 :]
-                prob = math.prod([rank_pmf[i][c] for i, c in enumerate(child)])
-                heapq.heappush(heap, (-prob, index + steps[l][r], child, l))
+        for l in range(first, len(state)):
+            x = after[l].get(state[l])
+            if x is not None:
+                child = state[:l] + (x,) + state[l + 1 :]
+                prob = math.prod([pmf[c] for pmf, c in zip(pmfs, child)])
+                heapq.heappush(heap, (-prob, child, l))
     lower = math.fsum(terms)
     covered = math.fsum(probs)
     upper = lower + max(0.0, 1.0 - covered) * full_cap

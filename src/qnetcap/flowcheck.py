@@ -108,11 +108,12 @@ def _table(document: Mapping, section: str, keys: tuple[str, ...]) -> dict:
     return table
 
 
-def load_assignment(text_or_path) -> FlowAssignment:
-    """Loads an assignment from YAML text or a file path; malformed YAML or
-    a malformed document is a ValueError."""
+def load_assignment(text_or_handle) -> FlowAssignment:
+    """Loads an assignment from YAML text or an open text handle (a string
+    is YAML text, never a path); malformed YAML or a malformed document is
+    a ValueError."""
     try:
-        document = yaml.load(read_text(text_or_path), Loader=YAML_LOADER)
+        document = yaml.load(read_text(text_or_handle), Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ValueError(f"assignment: YAML parse failure: {exc}") from exc
     if not isinstance(document, Mapping):

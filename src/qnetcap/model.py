@@ -333,24 +333,18 @@ def parse_topology(document: Mapping) -> Topology:
     return Topology(tuple(nodes), tuple(links), source, sink, constants)
 
 
-def read_text(text_or_path) -> str:
-    """YAML text from a readable handle, a file path, or the text itself.
-
-    A one-line string ending in .yaml/.yml or holding a '/' is a path.
-    """
-    if hasattr(text_or_path, "read"):
-        return text_or_path.read()
-    if isinstance(text_or_path, str) and "\n" not in text_or_path and (
-        text_or_path.endswith((".yaml", ".yml")) or "/" in text_or_path
-    ):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return text_or_path
+def read_text(text_or_handle) -> str:
+    """YAML text from a readable handle, or the text itself; a string is
+    never taken for a file name."""
+    if hasattr(text_or_handle, "read"):
+        return text_or_handle.read()
+    return text_or_handle
 
 
-def load_topology(text_or_path) -> Topology:
-    """Loads and fully validates a topology from YAML text or a file path."""
-    text = read_text(text_or_path)
+def load_topology(text_or_handle) -> Topology:
+    """Loads and fully validates a topology from YAML text or an open text
+    handle (a string is YAML text, never a path)."""
+    text = read_text(text_or_handle)
     try:
         document = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:

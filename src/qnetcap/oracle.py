@@ -24,25 +24,24 @@ def _undirected_edges(g: DirectedSnapshot) -> set[frozenset[str]]:
 
 
 def _all_simple_paths(g: DirectedSnapshot) -> list[tuple[tuple[str, ...], float, frozenset]]:
-    """Every simple source-sink path with its gain product and edge set."""
+    """Every simple source-sink path with its gain product and edge set,
+    sorted by node tuple."""
     paths = []
     out = g.out_arcs
-
-    def walk(node: str, seq: list[str], gain: float, used: set[frozenset]) -> None:
+    # depth first on an explicit stack of (node, path, gain, edges), as a
+    # level per node would overflow Python's recursion limit on a long
+    # chain; the sort makes the list independent of the walk's order
+    stack = [(g.source, (g.source,), 1.0, frozenset())]
+    while stack:
+        node, path, gain, edges = stack.pop()
         for nxt in out.get(node, ()):
-            edge = frozenset((node, nxt))
-            if nxt in seq or edge in used:
+            if nxt in path:
                 continue
+            taken = edges | {frozenset((node, nxt))}
             if nxt == g.sink:
-                paths.append((tuple(seq) + (nxt,), gain, frozenset(used | {edge})))
-                continue
-            seq.append(nxt)
-            used.add(edge)
-            walk(nxt, seq, gain * g.gains[nxt], used)
-            used.remove(edge)
-            seq.pop()
-
-    walk(g.source, [g.source], 1.0, set())
+                paths.append((path + (nxt,), gain, taken))
+            else:
+                stack.append((nxt, path + (nxt,), gain * g.gains[nxt], taken))
     paths.sort(key=lambda entry: entry[0])
     return paths
 

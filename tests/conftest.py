@@ -63,6 +63,15 @@ def make_topology(qmap, pairs, source="s", sink="t", p=1.0, caps=None):
     return Topology(nodes, links, source, sink)
 
 
+def long_chain(n):
+    """s-n0-...-n{n-1}-t, each link p = 1, and the relays' gains in path
+    order, each just below 1."""
+    relays = [f"n{i}" for i in range(n)]
+    q = {r: 1.0 - (i % 7 + 1) / 4000 for i, r in enumerate(relays)}
+    names = ["s", *relays, "t"]
+    return make_topology(q, list(zip(names, names[1:]))), [q[r] for r in relays]
+
+
 def two_route_network(q1, q2, q3, q4):
     """Two parallel chains s-a1-a2-t / s-a3-a4-t plus the a3-a2 chord.
 

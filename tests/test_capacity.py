@@ -164,6 +164,48 @@ def test_truncated_visits_states_by_probability(five_node):
         prev = covered
 
 
+def reference_ranking(t):
+    """(probability, probability * capacity) of every state, sorted by
+    (-probability, state index), each state searched on a fresh packer."""
+    from qnetcap.snapshot import enumerate_states
+
+    packer = topology_packer(t)
+    ranked = sorted((-p, i, s.vector) for i, (s, p) in enumerate(enumerate_states(t)))
+    return [(-neg, -neg * packer.value(vec)) for neg, _, vec in ranked]
+
+
+def tied_network():
+    """An 8-link random network with p = 0.5 and up to 2 pairs a link: its
+    1,944 states fall in 6 blocks of equal probability."""
+    rng = np.random.default_rng(0)
+    while True:
+        t, _ = random_instance(rng, max_internal=5, max_edges=8, mux=True)
+        if len(t.links) == 8:
+            return t
+
+
+@pytest.mark.parametrize("name", ["five_node", "tied"])
+def test_truncated_ties_pop_in_index_order(name):
+    t = tied_network() if name == "tied" else datasets.load_dataset(name)
+    ref = reference_ranking(t)
+    n = len(ref)
+    # k = 1, k = n, a third of the way, and the middle of each block of
+    # equal probabilities, where the cut depends on the order of the ties
+    ks = {1, n // 3, n}
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or ref[i][0] != ref[start][0]:
+            if i - start > 1:
+                ks.add(start + (i - start) // 2)
+            start = i
+    assert len(ks) == (9 if name == "tied" else 3)  # six blocks cut in the tied one
+    for k in sorted(ks):
+        report = truncated_capacity(t, k)
+        assert report.states_evaluated == k
+        assert report.covered_probability == math.fsum(p for p, _ in ref[:k])
+        assert report.lower == math.fsum(term for _, term in ref[:k])
+
+
 def test_sampled_reproducible_and_thread_stable(five_node):
     a = sampled_capacity(five_node, 3000, seed=11, threads=1)
     b = sampled_capacity(five_node, 3000, seed=11, threads=2)
@@ -171,6 +213,24 @@ def test_sampled_reproducible_and_thread_stable(five_node):
     assert a.stderr == b.stderr
     c = sampled_capacity(five_node, 3000, seed=12, threads=1)
     assert c.value != a.value
+
+
+def test_pool_never_outnumbers_its_jobs(five_node, monkeypatch):
+    # the pool is replaced by an in-process map that records its size, so
+    # no process starts
+    sizes = []
+
+    def in_process(state, jobs, fn, workers):
+        sizes.append(workers)
+        return map(functools.partial(fn, state), jobs)
+
+    monkeypatch.setattr(capacity, "_pooled", in_process)
+    report = sampled_capacity(five_node, 2 * SAMPLE_CHUNK, seed=3, threads=64)
+    assert sizes == [2]
+    assert report == sampled_capacity(five_node, 2 * SAMPLE_CHUNK, seed=3, threads=1)
+    assert sizes == [2]
+    sampled_capacity(five_node, SAMPLE_CHUNK, seed=3, threads=64)
+    assert sizes == [2]  # one job runs in-process
 
 
 def test_sampled_close_to_exact(five_node):

@@ -1,11 +1,15 @@
 """Command-line interface, report files, manifest reproducibility."""
 
 import csv
+import math
+import sys
 
 import pytest
 import yaml
 
+from conftest import long_chain
 from qnetcap.cli import main
+from qnetcap.model import dump_topology
 
 
 def run(capsys, *argv):
@@ -256,6 +260,21 @@ def test_snapshot_surfnet_full_matches_capacity_module(capsys):
         next(l for l in out.splitlines() if l.startswith("objective:")).split()[-1]
     )
     assert objective == pytest.approx(expected, abs=1e-9)
+
+
+def test_snapshot_oracle_on_a_long_chain(tmp_path, capsys, monkeypatch):
+    t, gains = long_chain(1200)
+    path = tmp_path / "chain.yaml"
+    path.write_text(dump_topology(t))
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    code, out, _ = run(
+        capsys, "snapshot", "--topology", str(path), "--solver", "oracle",
+        "--oracle-cap", "5000",
+    )
+    assert code == 0
+    assert f"brute-force value:    {math.prod(gains)!r}" in out
+    assert calls == []
 
 
 def test_snapshot_rejects_bad_link(capsys):

@@ -7,6 +7,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from qnetcap import datasets
+from qnetcap.flowcheck import load_assignment
 from qnetcap.model import (
     YAML_LOADER,
     LinkSpec,
@@ -301,6 +302,22 @@ def test_with_endpoints_swap(five_node):
 def test_yaml_loader_reads_every_bundled_document_like_safe_load(name):
     text = datasets.dataset_text(name)
     assert yaml.load(text, Loader=YAML_LOADER) == yaml.safe_load(text)
+
+
+def test_a_string_is_yaml_text_never_a_file_name(tmp_path, monkeypatch):
+    text = datasets.dataset_text("five_node")
+    (tmp_path / "net.yaml").write_text(text)
+    (tmp_path / "bad.yaml").write_text(datasets.dataset_text("demo_c9_bad"))
+    monkeypatch.chdir(tmp_path)
+    with open("net.yaml", encoding="utf-8") as fh:
+        assert load_topology(fh) == load_topology(text)
+    with pytest.raises(TopologyError) as info:
+        load_topology("net.yaml")
+    assert info.value.diagnostics == ["document: expected a mapping at top level"]
+    with open("bad.yaml", encoding="utf-8") as fh:
+        assert load_assignment(fh) == datasets.load_fixture_assignment("demo_c9_bad")
+    with pytest.raises(ValueError, match="must be a mapping"):
+        load_assignment("bad.yaml")
 
 
 def test_malformed_yaml_is_a_topology_error():

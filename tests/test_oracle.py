@@ -1,13 +1,20 @@
 """Brute-force reference: hand-checked sets, maximality, size guard."""
 
 import itertools
+import math
 import sys
 import traceback
 
 import numpy as np
 import pytest
 
-from conftest import directed_state, make_topology, random_instance, two_route_network
+from conftest import (
+    directed_state,
+    long_chain,
+    make_topology,
+    random_instance,
+    two_route_network,
+)
 from qnetcap import datasets
 from qnetcap.oracle import (
     SizeGuardError,
@@ -165,3 +172,16 @@ def test_path_sets_do_not_recurse_per_path():
         sys.setrecursionlimit(limit)
     assert len(sets) == 326 and all(len(paths) == 1 for paths, _ in sets)
     assert max(value for _, value in sets) == pytest.approx(0.9, abs=0)
+
+
+def test_long_chain_walks_without_recursion(monkeypatch):
+    # 1,202 nodes on the one path: more than Python's default recursion limit
+    t, gains = long_chain(1200)
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    g = directed_state(t)
+    (path, gain, edges), = _all_simple_paths(g)
+    assert path == ("s", *(f"n{i}" for i in range(1200)), "t") and len(edges) == 1201
+    assert gain == math.prod(gains)
+    assert brute_force_capacity(g, max_edges=5000) == math.prod(gains)
+    assert calls == []
