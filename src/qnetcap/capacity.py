@@ -31,9 +31,12 @@ Which link is nearest, and the groups, depend only on the settled node's
 support (the links that hold pairs), so both are read once per support off
 the strip's own breadth-first walk (PathPacker._support_strip) by the
 packer's one series reduction (PathPacker._reduce), in a table that each
-job keeps beside its memo. A child that decides its group at k > 0 pairs
-keeps the links of its parent: it takes the parent's order and is not
-stripped.
+job keeps, and only for a node that branches and misses the interior memo.
+That memo is the tree's, so each process keeps one for all the jobs it
+runs, and holds exact values only: a node's value is the fsum of its
+children in a fixed order. A child that decides its group at k > 0 pairs
+keeps the links of its parent: it takes the parent's order, and is
+neither stripped nor memoized.
 
 Runs split their work into fixed jobs: chunks of samples, or the subtrees
 TREE_JOB_DEPTH levels below the root of the tree. Each job's terms are
@@ -68,7 +71,7 @@ from .snapshot import (
     state_bases,
     state_row,
 )
-from .solver import PathPacker, index_network
+from .solver import MEMO_CAP, PathPacker, index_network
 
 EXACT_STATE_BUDGET = 1 << 22
 STATE_CHUNK = 1 << 14  # states per reduction chunk (fixed: determinism contract)
@@ -264,7 +267,8 @@ class _ChainTree:
     order: (support, present, links, joined), the links in the walk's
     order and each joined link's group. The root's groups are those that
     PathPacker.pack sets to their least counts. Each job keeps the orders
-    in a table of its own (orders), keyed on the support.
+    in a table of its own (orders), keyed on the support; the interior
+    memo (memo, see expected) is the tree's, kept across jobs.
 
     A node branches on the first open link of its order and decides the
     open members of its group at once. Their least count has
@@ -279,21 +283,24 @@ class _ChainTree:
         self.full = packer.pack(t.capacities)
         self.pmfs = link_pmfs(t)
         self.groups: dict[tuple[int, int], tuple] = {}
+        self.memo: dict[int, float] = {}  # interior values of stripped nodes
         self.open_shift = 8 * len(t.links)  # interior memo keys: open mask above the state
 
     def _settle(
         self, s: int, open_: int, order: Optional[tuple], orders: dict
     ) -> Optional[tuple]:
         """Settles a node; None if the sink is cut off, else the settled
-        state, the open mask left, the open link to branch on (-1 at a
-        leaf) and the state's order. The link is the first open one in
-        that order.
+        state, the open mask left, the open link to branch on (the first
+        in the state's order) and that order. A node that does not branch
+        gets link -1 and its interior memo value, or at a leaf its support.
 
         order: the order of the node's settled parent when the node holds
         pairs on the same links (only counts changed), so it is settled
-        already; None when it must be stripped. A strip is one walk
-        (PathPacker._support_strip) unless both its keep mask and the
-        settled support's order are in their tables.
+        already and not memoized; None when it must be stripped. A stripped
+        node's open mask is cut to its support (bit 8i to bit i) and its
+        memo entry read; only a node that misses and branches looks up its
+        order or builds it off the strip walk (PathPacker._support_strip),
+        walked again if the keep mask was in its table.
         """
         if order is None:
             packer = self.packer
@@ -306,17 +313,23 @@ class _ChainTree:
                 return None
             s &= keep
             x &= keep
+            open_ &= int(x.to_bytes(len(self.pmfs), "big").hex()[1::2], 2)
+            if not open_:
+                return s, 0, -1, x
+            value = self.memo.get(open_ << self.open_shift | s)
+            if value is not None:
+                return s, open_, -1, value
             order = orders.get(x)
             if order is None:
                 if walk is None:
                     _, *walk = packer._support_strip(x)
                 order = orders[x] = packer._reduce(x, *walk)
-            open_ &= order[1]
-        if open_:
-            for j in order[2]:
-                if open_ >> j & 1:
-                    return s, open_, j, order
-        return s, open_, -1, order
+        elif not open_:
+            return s, 0, -1, order[0]
+        for j in order[2]:  # open_ holds only links of the order
+            if open_ >> j & 1:
+                break
+        return s, open_, j, order
 
     def _group(self, s: int, live: int, group: int) -> tuple:
         """(clear mask, ones, pmf, open members) of a group of links at
@@ -361,7 +374,7 @@ class _ChainTree:
 
     def prefixes(self, depth: int) -> list[tuple[float, Optional[tuple]]]:
         """(mass, node) of the tree's nodes `depth` levels down and of its
-        shallower leaves and cut-off nodes, depth first; node is None where
+        shallower nodes that do not branch, depth first; node is None where
         the sink is cut off, else the settled (state, open mask)."""
         out = []
         orders: dict[int, tuple] = {}
@@ -385,15 +398,16 @@ class _ChainTree:
         """Expected leaf value below one settled node, over its open links.
 
         The walk keeps one frame per interior node on the way down: its
-        memo key, its children still to come, their weighted values so far
-        and the probability of the child being walked. Interior nodes are
-        memoized on the settled state with the open mask above its bytes.
-        The orders (see the class docstring) live in a table beside the
-        memo, for this walk only. A leaf is settled, so the packer searches
-        it without stripping it again.
+        memo key (0 if it is not memoized), its children still to come,
+        their weighted values so far and the probability of the child
+        being walked. The tree's interior memo (memo) holds the stripped
+        nodes that branch, keyed on the settled state with the open mask
+        above its bytes, and is cleared wholesale at MEMO_CAP entries. The
+        orders (see the class docstring) live in a table for this walk
+        only. A leaf is settled, so the packer searches it without
+        stripping it again.
         """
-        packer, shift = self.packer, self.open_shift
-        memo: dict[int, float] = {}
+        packer, memo, shift = self.packer, self.memo, self.open_shift
         orders: dict[int, tuple] = {}
         frames: list[list] = []
         order = None
@@ -401,22 +415,21 @@ class _ChainTree:
             settled = self._settle(s, open_, order, orders)
             if settled is None:
                 value = 0.0
-            elif settled[2] < 0:
-                # a settled state is stripped, as the packer keys its memo,
-                # and its support heads its order
-                s, _, _, order = settled
-                value = packer.memo.get(s)
-                if value is None:
-                    value = packer._search(s, order[0])
             else:
-                s, live, j, order = settled
-                key = live << shift | s
-                value = memo.get(key)
-                if value is None:
-                    children = self._children(s, live, j, order)
+                s, live, j, found = settled
+                if j >= 0:
+                    key = live << shift | s if order is None else 0
+                    children = self._children(s, live, j, found)
                     prob, s, open_, order = next(children)
                     frames.append([key, children, [], prob])
                     continue
+                if live:
+                    value = found  # an interior memo hit
+                else:
+                    # a leaf: settled, so stripped, as the packer keys its memo
+                    value = packer.memo.get(s)
+                    if value is None:
+                        value = packer._search(s, found)
             while frames:
                 key, children, terms, prob = frame = frames[-1]
                 terms.append(prob * value)
@@ -425,7 +438,11 @@ class _ChainTree:
                     frame[3], s, open_, order = child
                     break
                 frames.pop()
-                value = memo[key] = math.fsum(terms)
+                value = math.fsum(terms)
+                if key:
+                    if len(memo) >= MEMO_CAP:
+                        memo.clear()
+                    memo[key] = value
             else:
                 return value
 

@@ -33,6 +33,11 @@ class TopologyError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
+def _real(x) -> bool:
+    """True for an int or a float that is not a bool (YAML's true, false)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class LossConstants:
     """Fiber loss model parameters: p = c_eff * 10^(-0.1 * beta * L)."""
@@ -41,10 +46,10 @@ class LossConstants:
     beta: float = 0.2  # dB/km
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c_eff <= 1.0:
-            raise TopologyError([f"constants.c_eff: must be in (0, 1], got {self.c_eff}"])
-        if not 0.0 <= self.beta < math.inf:
-            raise TopologyError([f"constants.beta: must be finite and >= 0, got {self.beta}"])
+        if not (_real(self.c_eff) and 0.0 < self.c_eff <= 1.0):
+            raise TopologyError([f"constants.c_eff: must be in (0, 1], got {self.c_eff!r}"])
+        if not (_real(self.beta) and 0.0 <= self.beta < math.inf):
+            raise TopologyError([f"constants.beta: must be finite and >= 0, got {self.beta!r}"])
 
 
 def derive_link_probability(length_km: float, constants: LossConstants = LossConstants()) -> float:
@@ -195,7 +200,9 @@ def validate_topology(t: Topology) -> list[str]:
         expected_role = _role_of(n.id, t.source, t.sink)
         if n.role != expected_role:
             diags.append(f"nodes[{i}].role: '{n.role}' but endpoints imply '{expected_role}'")
-        if n.id in (t.source, t.sink):
+        if not _real(n.q):
+            diags.append(f"nodes[{i}].q: must be a number, got {n.q!r}")
+        elif n.id in (t.source, t.sink):
             if n.q != 1.0:
                 diags.append(f"nodes[{i}].q: q must be absent or 1 for {expected_role} '{n.id}'")
         elif not 0.0 < n.q <= 1.0:
@@ -213,10 +220,10 @@ def validate_topology(t: Topology) -> list[str]:
         seen_pairs.add(l.key)
         if (l.length_km is None) == (l.p is None):
             diags.append(f"{loc}: exactly one of length_km / p must be given")
-        if l.length_km is not None and not 0.0 <= l.length_km < math.inf:
-            diags.append(f"{loc}.length_km: must be finite and >= 0, got {l.length_km}")
-        if l.p is not None and not 0.0 <= l.p <= 1.0:
-            diags.append(f"{loc}.p: must be in [0, 1], got {l.p}")
+        if l.length_km is not None and not (_real(l.length_km) and 0.0 <= l.length_km < math.inf):
+            diags.append(f"{loc}.length_km: must be finite and >= 0, got {l.length_km!r}")
+        if l.p is not None and not (_real(l.p) and 0.0 <= l.p <= 1.0):
+            diags.append(f"{loc}.p: must be in [0, 1], got {l.p!r}")
         if isinstance(l.c, bool) or not isinstance(l.c, int) or not 1 <= l.c <= MAX_LINK_PAIRS:
             diags.append(f"{loc}.c: must be an integer in [1, {MAX_LINK_PAIRS}], got {l.c!r}")
     # link_index holds two ids per link, one for a self-loop, unless ids clash
@@ -269,13 +276,15 @@ def parse_topology(document: Mapping) -> Topology:
     if unknown:
         diags.append(f"document: unknown top-level keys {sorted(unknown)}")
 
+    def number(x):  # ints as floats; what is not a number is left for validation to refuse
+        return float(x) if _real(x) else x
+
     raw_const = _section(document, "constants", Mapping, "a mapping", diags)
     try:
         constants = LossConstants(
-            c_eff=float(raw_const.get("c_eff", 0.9)),
-            beta=float(raw_const.get("beta", 0.2)),
+            c_eff=number(raw_const.get("c_eff", 0.9)), beta=number(raw_const.get("beta", 0.2))
         )
-    except (TopologyError, TypeError, ValueError) as exc:
+    except TopologyError as exc:
         diags.append(f"constants: {exc}")
         constants = LossConstants()
 
@@ -297,12 +306,7 @@ def parse_topology(document: Mapping) -> Topology:
         unknown = set(raw) - {"id", "q"}
         if unknown:
             diags.append(f"nodes[{i}]: unknown keys {sorted(unknown)}")
-        try:
-            q = float(raw.get("q", 1.0))
-        except (TypeError, ValueError):
-            diags.append(f"nodes[{i}].q: not a number ({raw.get('q')!r})")
-            q = 1.0
-        nodes.append(NodeSpec(nid, q, _role_of(nid, source, sink)))
+        nodes.append(NodeSpec(nid, number(raw.get("q", 1.0)), _role_of(nid, source, sink)))
 
     links: list[LinkSpec] = []
     for i, raw in enumerate(_section(document, "links", (list, tuple), "a list", diags)):
@@ -315,18 +319,15 @@ def parse_topology(document: Mapping) -> Topology:
         unknown = set(raw) - {"u", "v", "length_km", "p", "c"}
         if unknown:
             diags.append(f"links[{i}]: unknown keys {sorted(unknown)}")
-        try:
-            links.append(
-                LinkSpec(
-                    u=str(raw["u"]),
-                    v=str(raw["v"]),
-                    length_km=None if raw.get("length_km") is None else float(raw["length_km"]),
-                    p=None if raw.get("p") is None else float(raw["p"]),
-                    c=raw.get("c", 1),
-                )
+        links.append(
+            LinkSpec(
+                u=str(raw["u"]),
+                v=str(raw["v"]),
+                length_km=number(raw.get("length_km")),
+                p=number(raw.get("p")),
+                c=raw.get("c", 1),
             )
-        except (TypeError, ValueError) as exc:
-            diags.append(f"links[{i}]: {exc}")
+        )
 
     if diags:
         raise TopologyError(diags)

@@ -24,6 +24,7 @@ from qnetcap.capacity import (
 )
 from qnetcap.montecarlo import SimConfig, simulate_local_knowledge
 from qnetcap.snapshot import num_states
+from qnetcap.solver import PathPacker
 
 
 def single_link(p=0.3):
@@ -633,7 +634,9 @@ class BfsTree(capacity._ChainTree):
     """Reference conditioning tree: a breadth-first search from the source
     at every node for the link to branch on, a walk over the live links at
     every branching for that link's series group, and a kept flag for the
-    children that hold pairs on the links of their parent."""
+    children that hold pairs on the links of their parent. The interior
+    memo has the tree's scope: the tree's memo, for the stripped nodes
+    (those not kept) that branch, read before the branch link is sought."""
 
     def _settle(self, s, open_, kept):
         packer = self.packer
@@ -648,6 +651,9 @@ class BfsTree(capacity._ChainTree):
                 rest ^= bit
                 if not s >> 8 * (bit.bit_length() - 1) & 0xFF:
                     live ^= bit
+            value = self.memo.get(live << self.open_shift | s) if live else None
+            if value is not None:
+                return s, live, -1, value
         if not live:
             return s, live, -1
         counts = s.to_bytes(len(packer.links), "little")
@@ -718,7 +724,7 @@ class BfsTree(capacity._ChainTree):
             if settled is None:
                 out.append((mass, None))
                 continue
-            s, live, j = settled
+            s, live, j = settled[:3]
             if j < 0 or level == depth:
                 out.append((mass, (s, live)))
                 continue
@@ -728,28 +734,27 @@ class BfsTree(capacity._ChainTree):
         return out
 
     def expected(self, s, open_):
-        packer, shift = self.packer, self.open_shift
-        memo = {}
+        packer, memo, shift = self.packer, self.memo, self.open_shift
         frames = []
-        kept = True
+        kept = False
         while True:
             settled = self._settle(s, open_, kept)
             if settled is None:
                 value = 0.0
-            elif settled[2] < 0:
+            elif settled[2] >= 0:
+                s, live, j = settled
+                key = None if kept else live << shift | s
+                children = self._children(s, live, j)
+                prob, s, open_, kept = next(children)
+                frames.append([key, children, [], prob])
+                continue
+            elif settled[1]:
+                value = settled[3]
+            else:
                 s = settled[0]
                 value = packer.memo.get(s)
                 if value is None:
                     value = packer._search(s)
-            else:
-                s, live, j = settled
-                key = live << shift | s
-                value = memo.get(key)
-                if value is None:
-                    children = self._children(s, live, j)
-                    prob, s, open_, kept = next(children)
-                    frames.append([key, children, [], prob])
-                    continue
             while frames:
                 key, children, terms, prob = frame = frames[-1]
                 terms.append(prob * value)
@@ -758,7 +763,9 @@ class BfsTree(capacity._ChainTree):
                     frame[3], s, open_, kept = child
                     break
                 frames.pop()
-                value = memo[key] = math.fsum(terms)
+                value = math.fsum(terms)
+                if key is not None:
+                    memo[key] = value
             else:
                 return value
 
@@ -809,14 +816,78 @@ def test_tree_matches_bfs_tree_on_datasets(name, monkeypatch):
 
 @pytest.mark.parametrize(
     "name, most",
-    [("abilene_mux2", 40_418), pytest.param("nsfnet", 54_060, marks=pytest.mark.slow)],
+    [("abilene_mux2", 36_806), pytest.param("nsfnet", 41_828, marks=pytest.mark.slow)],
 )
 def test_series_reductions_shrink_the_tree(name, most, monkeypatch):
     # every settled node on one worker; with series reductions only on the
     # full graph, the tree had 112,505 nodes on abilene_mux2 and 104,294 on
-    # NSFNet
+    # NSFNet, and with them but an interior memo per job 40,418 and 54,060
     settles = traced_exact(datasets.load_dataset(name), capacity._ChainTree, monkeypatch)[3]
     assert len(settles) <= most
+
+
+@pytest.mark.parametrize(
+    "name, reduces, branchings, nodes, entries",
+    [
+        ("abilene_mux2", 1_194, 12_792, 128_055, 23_732),
+        pytest.param("nsfnet", 8_009, 20_901, 58_785, 9_835, marks=pytest.mark.slow),
+    ],
+)
+def test_tree_memo_saves_orders_and_branchings(
+    name, reduces, branchings, nodes, entries, monkeypatch
+):
+    # one worker: its jobs share the tree's interior memo, and a node builds
+    # its order only when it misses that memo and branches. With a memo per
+    # job and an order for every stripped node, abilene_mux2 made 2,063
+    # series reductions and 14,099 branchings, and NSFNet 14,998 and 27,017
+    calls = {}
+
+    def counted(cls, method):
+        fn = getattr(cls, method)
+
+        def spy(*args):
+            calls[method] = calls.get(method, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(cls, method, spy)
+
+    counted(PathPacker, "_reduce")
+    counted(capacity._ChainTree, "_children")
+    _, explored, memo_size, _ = traced_exact(
+        datasets.load_dataset(name), capacity._ChainTree, monkeypatch
+    )
+    assert calls["_reduce"] <= reduces
+    assert calls["_children"] <= branchings
+    # the packer's search is the same
+    assert (explored, memo_size) == (nodes, entries)
+
+
+@pytest.mark.parametrize(
+    "name, depth", [("five_node", 2), ("abilene", 5), ("abilene_mux2", 5)]
+)
+def test_tree_memo_is_cleared_at_the_cap(name, depth, monkeypatch):
+    # five_node's jobs five levels down hold no interior node
+    monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
+    t = datasets.load_dataset(name)
+    want = exact_capacity(t, threads=1, budget=None)
+    sizes = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            sizes.append(len(self))
+
+    init = capacity._ChainTree.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        self.memo = Recording()
+
+    monkeypatch.setattr(capacity._ChainTree, "__init__", recording_init)
+    monkeypatch.setattr(capacity, "MEMO_CAP", 4)
+    assert exact_capacity(t, threads=1, budget=None) == want
+    assert max(sizes) == 4 and len(sizes) > 4  # filled and cleared, never past the cap
+    assert exact_capacity(t, threads=2, budget=None) == want
 
 
 def test_tree_matches_bfs_tree_on_random_and_count_255_networks(monkeypatch):

@@ -191,6 +191,71 @@ def test_capacity_must_be_an_int(c):
         Topology(nodes, (link,), "s", "t")
 
 
+def numeric_field_doc(field, raw):
+    """A three-node line a-m-b with raw as the given numeric field."""
+    link = f"{field}: {raw}" if field in ("p", "length_km") else "p: 0.5"
+    q = f", q: {raw}" if field == "q" else ""
+    constants = f"{{{field}: {raw}}}" if field in ("c_eff", "beta") else "{}"
+    return f"""
+nodes: [{{id: a}}, {{id: m{q}}}, {{id: b}}]
+links: [{{u: a, v: m, {link}}}, {{u: m, v: b, p: 0.5}}]
+endpoints: {{source: a, sink: b}}
+constants: {constants}
+"""
+
+
+@pytest.mark.parametrize(
+    "field, raw, shown",
+    [
+        ("p", "true", "True"),
+        ("p", '"0.5"', "'0.5'"),
+        ("q", "true", "True"),
+        ("q", '"0.5"', "'0.5'"),
+        ("length_km", '"10"', "'10'"),
+        ("length_km", "true", "True"),
+        ("c_eff", "true", "True"),
+        ("beta", '"0.2"', "'0.2'"),
+    ],
+)
+def test_numeric_fields_must_be_yaml_numbers(field, raw, shown):
+    with pytest.raises(TopologyError) as info:
+        load_topology(numeric_field_doc(field, raw))
+    (diag,) = info.value.diagnostics
+    assert re.search(rf"\.{field}: must .*, got {re.escape(shown)}$", diag), diag
+
+
+@pytest.mark.parametrize("field", ["p", "q", "c_eff"])
+def test_integer_one_loads_as_a_float(field):
+    t = load_topology(numeric_field_doc(field, "1"))
+    value = {"p": t.links[0].p, "q": t.node_by_id["m"].q, "c_eff": t.constants.c_eff}[field]
+    assert value == 1.0 and type(value) is float
+
+
+@pytest.mark.parametrize("field", ["p", "length_km", "q"])
+@pytest.mark.parametrize("raw", [True, "0.5"])
+def test_spec_numeric_fields_must_be_numbers(field, raw):
+    q = raw if field == "q" else 0.5
+    link = {field: raw} if field != "q" else {"p": 0.5}
+    nodes = (NodeSpec("s", role="source"), NodeSpec("m", q), NodeSpec("t", role="sink"))
+    links = (LinkSpec("s", "m", **link), LinkSpec("m", "t", p=1))
+    with pytest.raises(TopologyError, match=rf"\.{field}: must .*, got {re.escape(repr(raw))}$"):
+        Topology(nodes, links, "s", "t")
+
+
+def test_spec_integer_fields_are_numbers():
+    nodes = (NodeSpec("s", role="source"), NodeSpec("m", 1), NodeSpec("t", role="sink"))
+    links = (LinkSpec("s", "m", p=1), LinkSpec("m", "t", length_km=10))
+    t = Topology(nodes, links, "s", "t", LossConstants(c_eff=1, beta=0))
+    assert t.probabilities == (1, 1.0)
+
+
+@pytest.mark.parametrize("field", ["c_eff", "beta"])
+@pytest.mark.parametrize("raw", [True, False, "0.2"])
+def test_loss_constants_must_be_numbers(field, raw):
+    with pytest.raises(TopologyError, match=rf"\.{field}: must .*, got {re.escape(repr(raw))}$"):
+        LossConstants(**{field: raw})
+
+
 def test_diagnostics_carry_field_paths():
     doc = """
 nodes: [{id: a}, {id: b}, {id: c, q: 1.5}]
