@@ -36,7 +36,8 @@ That memo is the tree's, so each process keeps one for all the jobs it
 runs, and holds exact values only: a node's value is the fsum of its
 children in a fixed order. A child that decides its group at k > 0 pairs
 keeps the links of its parent: it takes the parent's order, and is
-neither stripped nor memoized.
+neither stripped nor memoized. Every set of links in the tree is a mask
+in the packer's format, with a 1 in the byte of each link.
 
 Runs split their work into fixed jobs: chunks of samples, or the subtrees
 TREE_JOB_DEPTH levels below the root of the tree. Each job's terms are
@@ -255,27 +256,27 @@ class _ChainTree:
     """Conditioning tree of one topology over its links (see the module
     docstring), with a packer as leaf evaluator.
 
-    A tree node is a packed state (see PathPacker.pack) and a bit mask of
-    the open (undecided and relevant) links, which hold their counts of
-    the packed full state. Nodes are settled: stripped, with the links the
-    strip drops taken out of the mask. Deciding link l at k pairs sets
-    byte l of the state to k.
+    A tree node is a packed state (see PathPacker.pack) and the mask of
+    its open (undecided and relevant) links, which hold their counts of
+    the packed full state; the root's is PathPacker.ones. Nodes are
+    settled: stripped, with the links the strip drops taken out of the
+    mask. Deciding link l at k pairs sets byte l of the state to k.
 
     The series reductions of a settled node depend only on its support
     (the links that hold pairs), and are read off the strip walk that
     settled it (PathPacker._support_strip) by PathPacker._reduce as its
-    order: (support, present, links, joined), the links in the walk's
-    order and each joined link's group. The root's groups are those that
-    PathPacker.pack sets to their least counts. Each job keeps the orders
-    in a table of its own (orders), keyed on the support; the interior
-    memo (memo, see expected) is the tree's, kept across jobs.
+    order: (support, links, joined), the support's mask, its links in the
+    walk's order and each joined link's group. The root's groups are those
+    that PathPacker.pack sets to their least counts. Each job keeps the
+    orders in a table of its own (orders), keyed on the support; the
+    interior memo (memo, see expected) is the tree's, kept across jobs.
 
     A node branches on the first open link of its order and decides the
-    open members of its group at once. Their least count has
-    P(min >= k) the product of their tails, capped at the least count of
-    the group's decided members (see chain_pmf). The (clear mask, ones,
-    pmf) of each group is kept in groups, keyed on (open members, cap); a
-    link in no group uses its own pmf.
+    open members of its group at once; a link in no group is a group of
+    its own. Their least count has P(min >= k) the product of their tails,
+    capped at the least count of the group's decided members (see
+    chain_pmf). The (clear mask, ones, pmf) of each group, ones the mask
+    of its open members, is kept in groups, keyed on (ones, cap).
     """
 
     def __init__(self, t: Topology, packer: PathPacker):
@@ -297,10 +298,10 @@ class _ChainTree:
         order: the order of the node's settled parent when the node holds
         pairs on the same links (only counts changed), so it is settled
         already and not memoized; None when it must be stripped. A stripped
-        node's open mask is cut to its support (bit 8i to bit i) and its
-        memo entry read; only a node that misses and branches looks up its
-        order or builds it off the strip walk (PathPacker._support_strip),
-        walked again if the keep mask was in its table.
+        node's open mask is cut to its support and its memo entry read;
+        only a node that misses and branches looks up its order or builds
+        it off the strip walk (PathPacker._support_strip), walked again if
+        the keep mask was in its table.
         """
         if order is None:
             packer = self.packer
@@ -313,7 +314,7 @@ class _ChainTree:
                 return None
             s &= keep
             x &= keep
-            open_ &= int(x.to_bytes(len(self.pmfs), "big").hex()[1::2], 2)
+            open_ &= x
             if not open_:
                 return s, 0, -1, x
             value = self.memo.get(open_ << self.open_shift | s)
@@ -326,33 +327,26 @@ class _ChainTree:
                 order = orders[x] = packer._reduce(x, *walk)
         elif not open_:
             return s, 0, -1, order[0]
-        for j in order[2]:  # open_ holds only links of the order
-            if open_ >> j & 1:
+        for j in order[1]:  # open_ holds only links of the order
+            if open_ >> 8 * j & 1:
                 break
         return s, open_, j, order
 
     def _group(self, s: int, live: int, group: int) -> tuple:
-        """(clear mask, ones, pmf, open members) of a group of links at
-        the settled state s with open mask live."""
-        members = group & live
-        decided = group ^ members
+        """(clear mask, ones, pmf) of a group of links at the settled state
+        s with open mask live; ones is the group's open members."""
+        ones = group & live
+        decided = group ^ ones
         cap = MAX_LINK_PAIRS
         while decided:
             bit = decided & -decided
             decided ^= bit
-            cap = min(cap, s >> 8 * (bit.bit_length() - 1) & 0xFF)
-        cached = self.groups.get((members, cap))
+            cap = min(cap, s >> bit.bit_length() - 1 & 0xFF)
+        cached = self.groups.get((ones, cap))
         if cached is None:
-            ones, pmfs = 0, []
-            rest = members
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                l = bit.bit_length() - 1
-                ones |= 1 << 8 * l
-                pmfs.append(self.pmfs[l])
+            pmfs = [pmf for l, pmf in enumerate(self.pmfs) if ones >> 8 * l & 1]
             clear = (self.packer.ones ^ ones) * 0xFF
-            cached = self.groups[members, cap] = clear, ones, chain_pmf(pmfs, cap), members
+            cached = self.groups[ones, cap] = clear, ones, chain_pmf(pmfs, cap)
         return cached
 
     def _children(self, s: int, live: int, j: int, order: tuple) -> Iterator:
@@ -360,14 +354,9 @@ class _ChainTree:
         group of link j decided, in count order; children of probability 0
         are left out. A child with pairs on the group keeps the links of
         its parent, so it takes the parent's order; the one without gets
-        None (see _settle)."""
-        joined = order[3]
-        if joined and j in joined:
-            clear, ones, pmf, members = self._group(s, live, joined[j])
-        else:
-            ones, pmf, members = 1 << 8 * j, self.pmfs[j], 1 << j
-            clear = ~(ones * 0xFF)
-        base, rest = s & clear, live & ~members
+        None (see _settle). A link in no group is a group of its own."""
+        clear, ones, pmf = self._group(s, live, order[2].get(j, 1 << 8 * j))
+        base, rest = s & clear, live ^ ones
         for k, prob in enumerate(pmf):
             if prob:
                 yield prob, base + k * ones, rest, order if k else None
@@ -378,7 +367,7 @@ class _ChainTree:
         the sink is cut off, else the settled (state, open mask)."""
         out = []
         orders: dict[int, tuple] = {}
-        stack = [(1.0, self.full, (1 << len(self.pmfs)) - 1, None, 0)]
+        stack = [(1.0, self.full, self.packer.ones, None, 0)]
         while stack:
             mass, s, open_, order, level = stack.pop()
             settled = self._settle(s, open_, order, orders)

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import yaml
 
-from .model import YAML_LOADER, read_text
+from .model import YAML_LOADER, _real, read_text
 from .snapshot import DirectedSnapshot
 
 TAU = 1e-9  # absolute feasibility tolerance for equality constraints
@@ -80,8 +80,9 @@ class FlowAssignment:
 
 def _table(document: Mapping, section: str, keys: tuple[str, ...]) -> dict:
     """Map from names to value of the rows of document[section], a list of
-    mappings of keys and "value" (absent or null: no rows), value read as a
-    float; two rows with the same names are a ValueError that names both."""
+    mappings of keys and "value" (absent or null: no rows), value a YAML
+    number (an int or a float, not a bool) read as a float; two rows with
+    the same names are a ValueError that names both."""
     rows = document.get(section)
     if rows is None:
         return {}
@@ -95,10 +96,13 @@ def _table(document: Mapping, section: str, keys: tuple[str, ...]) -> dict:
         missing = [key for key in (*keys, "value") if key not in row]
         if missing:
             raise ValueError(f"{section}[{i}]: missing {', '.join(missing)}")
+        raw = row["value"]
         try:
-            value = float(row["value"])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{section}[{i}].value: not a number ({row['value']!r})") from None
+            value = float(raw) if _real(raw) else None
+        except OverflowError:  # an int past a float's range
+            value = None
+        if value is None:
+            raise ValueError(f"{section}[{i}].value: not a number ({raw!r})")
         names = tuple(str(row[key]) for key in keys)
         if names in first:
             raise ValueError(

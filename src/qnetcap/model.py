@@ -276,8 +276,13 @@ def parse_topology(document: Mapping) -> Topology:
     if unknown:
         diags.append(f"document: unknown top-level keys {sorted(unknown)}")
 
-    def number(x):  # ints as floats; what is not a number is left for validation to refuse
-        return float(x) if _real(x) else x
+    def number(x):  # ints as floats, ±inf past a float's range; validation refuses the rest
+        if not _real(x):
+            return x
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
 
     raw_const = _section(document, "constants", Mapping, "a mapping", diags)
     try:

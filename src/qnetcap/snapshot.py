@@ -79,7 +79,9 @@ class DirectedSnapshot:
 
     Arcs between internal nodes come in both directions; the source has no
     incoming arcs and the sink no outgoing ones. Gains are the per-node swap
-    success probabilities (1 for source, sink and splitter nodes).
+    success probabilities (1 for source, sink and splitter nodes), each in
+    (0, 1], and the source and sink have one. A snapshot that breaks any of
+    these rules is refused when it is built.
     """
 
     arcs: frozenset[tuple[str, str]]
@@ -91,6 +93,13 @@ class DirectedSnapshot:
         object.__setattr__(self, "arcs", frozenset(self.arcs))
         if self.source == self.sink:
             raise ValueError("source and sink coincide")
+        for endpoint in (self.source, self.sink):
+            if endpoint not in self.gains:
+                raise ValueError(f"node '{endpoint}' missing from snapshot gains")
+        for node, gain in self.gains.items():
+            if not 0.0 < gain <= 1.0:
+                raise ValueError(f"gain of node '{node}' out of (0, 1]: {gain}")
+        one_way = []
         for u, v in self.arcs:
             if u == v:
                 raise ValueError(f"self-arc ({u}, {v}) forbidden")
@@ -100,6 +109,13 @@ class DirectedSnapshot:
                 raise ValueError(f"arc ({u}, {v}) leaves the sink")
             if u not in self.gains or v not in self.gains:
                 raise ValueError(f"arc ({u}, {v}) references node without a gain")
+            if u != self.source and v != self.sink and (v, u) not in self.arcs:
+                one_way.append((u, v))
+        if one_way:
+            u, v = min(one_way)
+            raise ValueError(
+                f"internal adjacency ({u}, {v}) lacks its reverse arc; ill-formed snapshot"
+            )
 
     @cached_property
     def sorted_arcs(self) -> tuple[tuple[str, str], ...]:

@@ -150,25 +150,22 @@ class PathPacker:
         data = bytearray(counts)
         if len(data) != len(counts):  # a buffer of wider items, such as a numpy int64 array
             data = bytearray(list(counts))
-        s = int.from_bytes(data, "little")
         if max(data, default=0) > 1:  # else the strip leaves each group at its least count
-            for chain, ones, clear in zip(*self.chain_table):
-                s = s & clear | min(map(data.__getitem__, chain)) * ones
-        return s
+            for chain in self.chain_table:
+                least = min(map(data.__getitem__, chain))
+                for l in chain:
+                    data[l] = least
+        return int.from_bytes(data, "little")
 
     @cached_property
-    def chain_table(self) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-        """(chains, ones, clear), found on first use: the series groups of
-        two or more links that _reduce finds on the strip walk of the full
-        support, each as its sorted link indices, in the order of their
-        first links; per group, a 1 in the byte of each of its links; and
-        per group, the mask that zeroes those bytes."""
+    def chain_table(self) -> list[tuple[int, ...]]:
+        """The series groups of two or more links that _reduce finds on the
+        strip walk of the full support, found on first use, each as its
+        sorted link indices, in the order of their first links."""
         keep, *walk = self._support_strip(self.ones)
-        joined = keep and self._reduce(self.ones, *walk)[3] or {}  # none if the sink is cut off
+        joined = self._reduce(self.ones, *walk)[2] if keep else {}
         links = range(len(self.links))
-        chains = sorted(tuple(l for l in links if group >> l & 1) for group in {*joined.values()})
-        ones = [sum(1 << 8 * l for l in chain) for chain in chains]
-        return chains, ones, [self.ones * 0xFF ^ mask * 0xFF for mask in ones]
+        return sorted(tuple(l for l in links if group >> 8 * l & 1) for group in {*joined.values()})
 
     def _support(self, s: int) -> int:
         """The support of the state s: bit 8i is set where link i holds pairs."""
@@ -260,18 +257,17 @@ class PathPacker:
     def _reduce(self, x: int, queue: list, deg: list, live: list) -> tuple:
         """The series reductions of the settled support x, read off its
         strip walk's queue, live degrees and live links (see
-        _support_strip), as (support, present, links, joined).
+        _support_strip), as (support, links, joined).
 
         links lists every link the support holds, in the order the walk's
-        breadth-first search first meets it, and present is the bit mask
-        of those links. joined maps each link joined to others at internal
-        nodes with two live links to the bit mask of its group, the links
-        so joined (None if there are none): a path uses all of a group or
-        none of it, so only the group's least count matters.
+        breadth-first search first meets it. joined maps each link joined
+        to others at internal nodes with two live links to its group, the
+        links so joined, as a mask with a 1 in the byte of each (see pack):
+        a path uses all of a group or none of it, so only the group's least
+        count matters.
         """
         adj, internal = self.adj, self.internal
-        present = 0
-        links = []
+        links: dict[int, None] = {}  # a link met again keeps its first place
         joins = []
         for u in queue:
             d = deg[u]
@@ -279,24 +275,20 @@ class PathPacker:
                 first = -1
                 for idx, _ in adj[u]:
                     if live[idx]:
-                        if not present >> idx & 1:
-                            present |= 1 << idx
-                            links.append(idx)
+                        links[idx] = None
                         if d == 2:  # an internal u joins its two live links
                             if first < 0:
                                 first = idx
                             elif internal[u]:
                                 joins.append((first, idx))
-        joined = None
-        if joins:
-            joined = {}
-            for a, b in joins:
-                group = rest = joined.get(a, 1 << a) | joined.get(b, 1 << b)
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    joined[bit.bit_length() - 1] = group
-        return x, present, tuple(links), joined
+        joined: dict[int, int] = {}
+        for a, b in joins:
+            group = rest = joined.get(a, 1 << 8 * a) | joined.get(b, 1 << 8 * b)
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                joined[bit.bit_length() >> 3] = group
+        return x, tuple(links), joined
 
     def _branch(self, s: int, support: int):
         """Yields (gain, prefix, rest) once per child of a stripped state s
@@ -542,8 +534,8 @@ class SnapshotSolution:
 
 
 def _indexed_problem(g: DirectedSnapshot):
-    """Validates a directed snapshot and maps it onto a packer, with its
-    relays folded into pair counts.
+    """Maps a directed snapshot onto a packer, with its relays folded into
+    pair counts.
 
     A relay is an internal node of gain 1 on exactly two links, where
     neither neighbour is also such a node. It becomes one more pair on the
@@ -552,21 +544,10 @@ def _indexed_problem(g: DirectedSnapshot):
     the packer and, per link, the nodes each of its pairs passes: () for
     the direct link, first, then (relay,) in name order.
     """
-    for endpoint in (g.source, g.sink):
-        if endpoint not in g.gains:
-            raise ValueError(f"node '{endpoint}' missing from snapshot gains")
-    for node, gain in g.gains.items():
-        if not 0.0 < gain <= 1.0:
-            raise ValueError(f"gain of node '{node}' out of (0, 1]: {gain}")
     nbrs: dict[str, list[str]] = {}
     for u, v in g.sorted_arcs:
-        if u != g.source and v != g.sink:
-            if (v, u) not in g.arcs:
-                raise ValueError(
-                    f"internal adjacency ({u}, {v}) lacks its reverse arc; ill-formed snapshot"
-                )
-            if u > v:
-                continue
+        if u > v and u != g.source and v != g.sink:
+            continue  # an internal pair is taken once, as its arc with u < v
         nbrs.setdefault(u, []).append(v)
         nbrs.setdefault(v, []).append(u)
     routes = {(u, v): [()] for u, ns in nbrs.items() for v in ns if u < v}

@@ -522,7 +522,7 @@ def test_exact_multiplexed_chain_is_expected_minimum():
     c = {("s", "a"): 3, ("a", "b"): 5, ("b", "c"): 2, ("c", "t"): 4}
     q = {"a": 0.8, "b": 0.5, "c": 0.9}
     t = make_topology(q, list(p), p=p, caps=c)
-    assert topology_packer(t).chain_table[0] == [(0, 1, 2, 3)]
+    assert topology_packer(t).chain_table == [(0, 1, 2, 3)]
     expected = math.fsum(
         math.prod(tail(c[l], p[l], k) for l in p) for k in range(1, 3)
     ) * math.prod(q.values())
@@ -548,7 +548,7 @@ def test_exact_parallel_routes_at_count_255(depth, monkeypatch):
     # depth 0 runs the whole tree as one job, under one memo
     monkeypatch.setattr(capacity, "TREE_JOB_DEPTH", depth)
     t = parallel_routes_at_255()
-    assert topology_packer(t).chain_table[0] == [(0, 1)]
+    assert topology_packer(t).chain_table == [(0, 1)]
     expected = 255 * 0.3 + 0.7 * math.fsum(
         tail(255, 0.6, k) * tail(255, 0.45, k) for k in range(1, 256)
     )
@@ -609,19 +609,19 @@ def test_series_chains_follow_degree_two_nodes():
         ("s", "a"), ("a", "b"), ("b", "t"), ("b", "c"), ("c", "d"), ("d", "b"), ("s", "t"),
     ]
     t = make_topology({n: 0.9 for n in "abcd"}, pairs)
-    chains = [[t.link_ids[l] for l in chain] for chain in topology_packer(t).chain_table[0]]
+    chains = [[t.link_ids[l] for l in chain] for chain in topology_packer(t).chain_table]
     assert chains == [["a-b", "s-a"], ["b-c", "d-b", "c-d"]]
 
 
 def test_series_chains_match_the_name_keyed_walk():
     for name in datasets.DATASETS:
         t = datasets.load_dataset(name)
-        assert topology_packer(t).chain_table[0] == reference_root_groups(t), name
+        assert topology_packer(t).chain_table == reference_root_groups(t), name
     rng = np.random.default_rng(21)
     cycles = 0
     for i in range(300):
         t, _ = random_instance(rng, mux=i % 2 == 1)
-        chains = topology_packer(t).chain_table[0]
+        chains = topology_packer(t).chain_table
         assert chains == reference_root_groups(t), i
         # a chain that closes into a cycle has as many nodes as links
         for chain in chains:
@@ -636,7 +636,8 @@ class BfsTree(capacity._ChainTree):
     every branching for that link's series group, and a kept flag for the
     children that hold pairs on the links of their parent. The interior
     memo has the tree's scope: the tree's memo, for the stripped nodes
-    (those not kept) that branch, read before the branch link is sought."""
+    (those not kept) that branch, read before the branch link is sought.
+    Open masks are the tree's: a 1 in the byte of each open link."""
 
     def _settle(self, s, open_, kept):
         packer = self.packer
@@ -645,12 +646,9 @@ class BfsTree(capacity._ChainTree):
             s = packer._strip(s)
             if not s:
                 return None
-            rest = open_
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if not s >> 8 * (bit.bit_length() - 1) & 0xFF:
-                    live ^= bit
+            for l in range(len(self.pmfs)):
+                if live >> 8 * l & 1 and not s >> 8 * l & 0xFF:
+                    live ^= 1 << 8 * l
             value = self.memo.get(live << self.open_shift | s) if live else None
             if value is not None:
                 return s, live, -1, value
@@ -663,7 +661,7 @@ class BfsTree(capacity._ChainTree):
         for u in queue:
             for idx, w in packer.adj[u]:
                 if counts[idx]:
-                    if live >> idx & 1:
+                    if live >> 8 * idx & 1:
                         return s, live, idx
                     if not seen[w]:
                         seen[w] = 1
@@ -696,9 +694,9 @@ class BfsTree(capacity._ChainTree):
         # the group's open members take their least count; its decided
         # members cap it at theirs
         group = self._series_group(s, j)
-        members = sorted(i for i in group if live >> i & 1)
+        members = sorted(i for i in group if live >> 8 * i & 1)
         counts = s.to_bytes(len(self.pmfs), "little")
-        cap = min((counts[i] for i in group if not live >> i & 1), default=255)
+        cap = min((counts[i] for i in group if not live >> 8 * i & 1), default=255)
         pmfs = [self.pmfs[i] for i in members]
         top = min(cap + 1, *(len(pmf) for pmf in pmfs))
         if len(members) == 1 and top == len(pmfs[0]):
@@ -710,14 +708,15 @@ class BfsTree(capacity._ChainTree):
         for i in members:
             base &= ~(0xFF << 8 * i)
             ones += 1 << 8 * i
-            rest &= ~(1 << i)
+            rest &= ~(1 << 8 * i)
         for k, prob in enumerate(pmf):
             if prob:
                 yield prob, base + k * ones, rest, k > 0
 
     def prefixes(self, depth):
         out = []
-        stack = [(1.0, self.full, (1 << len(self.pmfs)) - 1, False, 0)]
+        every = sum(1 << 8 * l for l in range(len(self.pmfs)))
+        stack = [(1.0, self.full, every, False, 0)]
         while stack:
             mass, s, open_, kept, level = stack.pop()
             settled = self._settle(s, open_, kept)
@@ -906,13 +905,14 @@ def test_exact_zero_chain_joins_its_neighbours_in_series():
     t = make_topology({"h": qh, "b": qb}, list(p), p=p, caps=caps)
     tree = capacity._ChainTree(t, topology_packer(t))
     sb, bh, A, B = (t.link_index[l] for l in ("s-b", "b-h", "s-h", "h-t"))
-    C = 1 << sb | 1 << bh
+    # link sets are masks with a 1 in each link's byte
+    C, AB = 1 << 8 * sb | 1 << 8 * bh, 1 << 8 * A | 1 << 8 * B
     # the root branches on s-b and decides C in one branching, at its least
     # count: b joins s-b and b-h, and h has three live links
-    s, live, j, order = tree._settle(tree.full, 0b1111, None, {})
-    assert j == sb and order[3] == {sb: C, bh: C}
+    s, live, j, order = tree._settle(tree.full, 0x01010101, None, {})
+    assert j == sb and order[2] == {sb: C, bh: C}
     children = list(tree._children(s, live, j, order))
-    assert [rest for _, _, rest, _ in children] == [1 << A | 1 << B] * 3
+    assert [rest for _, _, rest, _ in children] == [AB] * 3
     tails = [tail(2, 0.7, k) * tail(3, 0.55, k) for k in range(3)] + [0.0]
     assert [prob for prob, *_ in children] == pytest.approx(
         [tails[k] - tails[k + 1] for k in range(3)], rel=1e-12
@@ -922,7 +922,7 @@ def test_exact_zero_chain_joins_its_neighbours_in_series():
     # with C at 0, A and B form one group, decided in one branching at
     # their least count, with P(min >= k) = P(A >= k) * P(B >= k)
     s, live, j, order = tree._settle(zero[1], zero[2], None, {})
-    assert j == A and order[3] == {A: 1 << A | 1 << B, B: 1 << A | 1 << B}
+    assert j == A and order[2] == {A: AB, B: AB}
     children = list(tree._children(s, live, j, order))
     assert [rest for _, _, rest, _ in children] == [0, 0, 0]
     tails = [tail(2, 0.4, k) * tail(3, 0.65, k) for k in range(3)] + [0.0]
@@ -970,7 +970,7 @@ def test_strip_walk_order_matches_a_bfs_of_the_stripped_support():
         t, _ = random_instance(rng, max_internal=6, max_edges=12, mux=i % 2 == 1)
         packer = topology_packer(t)
         tree = BfsTree(t, packer)
-        chain_of = {l: set(chain) for chain in packer.chain_table[0] for l in chain}
+        chain_of = {l: set(chain) for chain in packer.chain_table for l in chain}
         for _ in range(8):
             vec = [int(rng.integers(0, c + 1)) for c in t.capacities]
             s = packer.pack(vec)
@@ -984,11 +984,11 @@ def test_strip_walk_order_matches_a_bfs_of_the_stripped_support():
             order = packer._reduce(x & keep, *walk)
             assert order == packer._reduce(x & keep, *packer._support_strip(x & keep)[1:])
             links = bfs_link_order(packer, s)
-            assert list(order[2]) == links
-            assert order[1] == sum(1 << l for l in links)
+            assert list(order[1]) == links
+            assert order[0] == sum(1 << 8 * l for l in links)
             for l in links:
                 group = tree._series_group(s, l)
-                assert (order[3] or {}).get(l, 1 << l) == sum(1 << i for i in group)
+                assert order[2].get(l, 1 << 8 * l) == sum(1 << 8 * i for i in group)
                 # a group beyond one series group of the full graph
                 merged += not group <= chain_of.get(l, {l})
     assert walks > 500 and merged > 0
@@ -999,17 +999,17 @@ def root_chains(t):
     each asserted to be one group of the root's order, which has no other."""
     packer = topology_packer(t)
     tree = capacity._ChainTree(t, packer)
-    settled = tree._settle(tree.full, (1 << len(t.links)) - 1, None, {})
+    settled = tree._settle(tree.full, packer.ones, None, {})
     chains = reference_root_groups(t)
     if settled is None:
         assert chains == []
         return 0
-    _, present, _, joined = settled[3]
-    masks = [sum(1 << l for l in chain) for chain in chains]
+    support, _, joined = settled[3]
+    masks = [sum(1 << 8 * l for l in chain) for chain in chains]
     for chain, mask in zip(chains, masks):
-        assert present & mask == mask, chain  # the strip keeps all of it
-        assert all((joined or {}).get(l, 0) == mask for l in chain), chain
-    assert set((joined or {}).values()) == set(masks)
+        assert support & mask == mask, chain  # the strip keeps all of it
+        assert all(joined.get(l, 0) == mask for l in chain), chain
+    assert set(joined.values()) == set(masks)
     return len(chains)
 
 

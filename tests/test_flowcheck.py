@@ -190,6 +190,11 @@ def test_assignment_document_round_trip():
         ("flows: [{from: a, value: 0.5}]", r"^flows\[0\]: missing to$"),
         ("flows: [{from: a, to: b, value: null}]", r"^flows\[0\]\.value: not a number \(None\)$"),
         ("matchings: [{i: a, j: b, k: c, value: x}]", r"^matchings\[0\]\.value: not a number"),
+        ('flows: [{from: a, to: b, value: "1"}]', r"^flows\[0\]\.value: not a number \('1'\)$"),
+        (
+            "matchings: [{i: a, j: b, k: c, value: true}]",
+            r"^matchings\[0\]\.value: not a number \(True\)$",
+        ),
         (
             'flows: [{from: s, to: "1", value: 5.0}, {from: "1", to: s, value: 0.0},'
             ' {from: s, to: 1, value: 1.0}]',

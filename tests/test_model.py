@@ -191,6 +191,9 @@ def test_capacity_must_be_an_int(c):
         Topology(nodes, (link,), "s", "t")
 
 
+HUGE = "1" + "0" * 400  # an integer past a float's range
+
+
 def numeric_field_doc(field, raw):
     """A three-node line a-m-b with raw as the given numeric field."""
     link = f"{field}: {raw}" if field in ("p", "length_km") else "p: 0.5"
@@ -215,6 +218,12 @@ constants: {constants}
         ("length_km", "true", "True"),
         ("c_eff", "true", "True"),
         ("beta", '"0.2"', "'0.2'"),
+        # an integer too large for a float reads as ±inf, which the range refuses
+        pytest.param("p", HUGE, "inf", id="p-huge"),
+        pytest.param("length_km", HUGE, "inf", id="length_km-huge"),
+        pytest.param("c_eff", HUGE, "inf", id="c_eff-huge"),
+        pytest.param("beta", HUGE, "inf", id="beta-huge"),
+        pytest.param("length_km", f"-{HUGE}", "-inf", id="length_km-huge-negative"),
     ],
 )
 def test_numeric_fields_must_be_yaml_numbers(field, raw, shown):
@@ -222,6 +231,15 @@ def test_numeric_fields_must_be_yaml_numbers(field, raw, shown):
         load_topology(numeric_field_doc(field, raw))
     (diag,) = info.value.diagnostics
     assert re.search(rf"\.{field}: must .*, got {re.escape(shown)}$", diag), diag
+
+
+@pytest.mark.parametrize("raw, shown", [(HUGE, "inf"), (f"-{HUGE}", "-inf")], ids=["+", "-"])
+def test_huge_integer_q_is_out_of_range(raw, shown):
+    with pytest.raises(TopologyError) as info:
+        load_topology(numeric_field_doc("q", raw))
+    assert info.value.diagnostics == [
+        f"nodes[1].q: q out of (0,1] for internal node 'm' (got {shown})"
+    ]
 
 
 @pytest.mark.parametrize("field", ["p", "q", "c_eff"])

@@ -1,6 +1,7 @@
 """State enumeration, probabilities, multiplex transform, directed graphs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,12 +262,40 @@ def test_directed_arc_rules():
         ({("a", "s")}, "t", r"arc \(a, s\) enters the source"),
         ({("t", "a")}, "t", r"arc \(t, a\) leaves the sink"),
         ({("s", "x")}, "t", r"arc \(s, x\) references node without a gain"),
+        ({("s", "a")}, "x", "node 'x' missing from snapshot gains"),
     ],
 )
 def test_directed_snapshot_rejects_ill_formed_arcs(arcs, sink, message):
     gains = {"s": 1.0, "a": 0.5, "t": 1.0}
     with pytest.raises(ValueError, match=f"^{message}$"):
         DirectedSnapshot(frozenset(arcs), gains, "s", sink)
+
+
+@pytest.mark.parametrize(
+    "arcs, gains, message",
+    [
+        (
+            {("s", "a"), ("a", "t")},
+            {"s": 1.0, "a": 0.0, "t": 1.0},
+            "gain of node 'a' out of (0, 1]: 0.0",
+        ),
+        (
+            {("s", "a"), ("a", "t")},
+            {"s": 1.0, "a": 1.5, "t": 1.0},
+            "gain of node 'a' out of (0, 1]: 1.5",
+        ),
+        (
+            {("s", "a"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "t")},
+            {"s": 1.0, "a": 0.5, "b": 0.5, "c": 0.5, "t": 1.0},
+            "internal adjacency (b, c) lacks its reverse arc; ill-formed snapshot",
+        ),
+    ],
+)
+def test_directed_snapshot_rejects_bad_gains_and_one_way_arcs(arcs, gains, message):
+    # refused when built, so the oracle and the checker never score a
+    # snapshot that the solver would refuse
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DirectedSnapshot(frozenset(arcs), gains, "s", "t")
 
 
 def test_directed_empty_state(five_node):
