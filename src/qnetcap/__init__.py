@@ -35,7 +35,7 @@ from .model import (
     validate_topology,
 )
 from .montecarlo import SimConfig, SimResult, simulate_local_knowledge
-from .oracle import SizeGuardError, brute_force_capacity, enumerate_path_sets
+from .oracle import SizeGuardError, brute_force_capacity, enumerate_path_sets, max_disjoint_paths
 from .snapshot import (
     DirectedSnapshot,
     SnapshotState,
@@ -44,7 +44,7 @@ from .snapshot import (
     to_directed,
     to_unit_capacity,
 )
-from .solver import SnapshotSolution, max_disjoint_paths, solve_snapshot
+from .solver import SnapshotSolution, solve_snapshot
 
 __version__ = "0.1.0"
 

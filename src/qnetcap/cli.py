@@ -125,9 +125,16 @@ def cmd_capacity(args) -> int:
         "budget": args.budget,
     }
     if args.mode == "exact":
-        report = capacity_mod.exact_capacity(
-            t, threads=args.threads, budget=args.budget, per_state=args.per_state
-        )
+        try:
+            report = capacity_mod.exact_capacity(
+                t, threads=args.threads, budget=args.budget, per_state=args.per_state
+            )
+        except capacity_mod.StateBudgetError:
+            raise ValueError(
+                f"state space holds {capacity_mod.num_states(t)} states, over the budget of "
+                f"{args.budget}; use --mode truncated --top-k K, --mode sampled --samples N, "
+                "or a larger --budget"
+            ) from None
     elif args.mode == "truncated":
         if args.top_k is None:
             print("error: --mode truncated requires --top-k", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 Datasets are YAML topology files shipped as package data. The demo_*
 fixtures are small networks paired with hand-built infeasible assignments,
-each crafted so that exactly one constraint family catches the flaw. The
-builders load the bundled YAML, c6_demo and c7_demo with their small-gain
-nodes' q overridden; c6_demo_assignment is built here, as its flows scale
-with that gain.
+each crafted so that exactly one constraint family catches the flaw.
+c6_demo and c7_demo load the bundled YAML with their small-gain nodes' q
+overridden. c6_demo_assignment is built here, as its flows scale with that
+gain; the other bad assignments are read with load_fixture_assignment.
 """
 
 from __future__ import annotations
@@ -79,10 +79,3 @@ def c7_demo(small_gain: float = 0.01) -> Topology:
     """Network where dropping C7 lets two half flows merge at node 3."""
     return _with_gains("demo_c7", {"4": small_gain})
 
-
-def c7_demo_assignment() -> FlowAssignment:
-    return load_fixture_assignment("demo_c7_bad")
-
-
-def c9_demo_assignment() -> FlowAssignment:
-    return load_fixture_assignment("demo_c9_bad")

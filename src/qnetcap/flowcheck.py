@@ -141,9 +141,6 @@ class ConstraintReport:
     def feasible(self) -> bool:
         return not self.violations
 
-    def by_constraint(self, tag: str) -> tuple[Violation, ...]:
-        return tuple(v for v in self.violations if v.constraint == tag)
-
 
 def check_assignment(
     g: DirectedSnapshot,

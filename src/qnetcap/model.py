@@ -385,6 +385,3 @@ def serialize_topology(t: Topology) -> dict:
         "constants": {"c_eff": t.constants.c_eff, "beta": t.constants.beta},
     }
 
-
-def dump_topology(t: Topology) -> str:
-    return yaml.safe_dump(serialize_topology(t), sort_keys=False)

@@ -1,14 +1,18 @@
-"""Brute-force snapshot capacity by exhaustive path-set enumeration.
+"""Independent cross-checks for the snapshot solver.
 
-Ground truth for the solver: enumerate every maximal set of pairwise
-link-disjoint source-sink paths, score each as the sum of per-path products
-of internal node gains, and take the maximum. Deliberately naive; a size
-guard refuses instances where the factorial blow-up would hurt.
+brute_force_capacity is ground truth for the solver: enumerate every
+maximal set of pairwise link-disjoint source-sink paths, score each as the
+sum of per-path products of internal node gains, and take the maximum.
+Deliberately naive; a size guard refuses instances where the factorial
+blow-up would hurt. max_disjoint_paths is the unit-capacity max flow: the
+number of link-disjoint paths, which equals the optimum when every gain is
+1 and bounds it from above otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import deque
+from typing import Iterator, Optional
 
 from .snapshot import DirectedSnapshot
 
@@ -93,3 +97,39 @@ def brute_force_capacity(g: DirectedSnapshot, max_edges: int = DEFAULT_MAX_EDGES
         if value > best:
             best = value
     return best
+
+
+def max_disjoint_paths(g: DirectedSnapshot) -> int:
+    """Maximum number of edge-disjoint source-sink paths (unit-cap max flow).
+
+    Deliberately independent of the packing solver: breadth-first
+    augmentation on the directed arcs, for use as a cross-check and bound.
+    """
+    residual: dict[tuple[str, str], int] = {}
+    adj: dict[str, list[str]] = {}
+    for u, v in g.sorted_arcs:
+        residual[(u, v)] = residual.get((u, v), 0) + 1
+        adj.setdefault(u, []).append(v)
+        if (v, u) not in residual:
+            residual[(v, u)] = 0
+            adj.setdefault(v, []).append(u)
+    source, sink = g.source, g.sink
+    flow = 0
+    while True:
+        parent: dict[str, Optional[str]] = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v in adj.get(u, ()):
+                if v not in parent and residual[(u, v)] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            residual[(u, v)] -= 1
+            residual[(v, u)] += 1
+            v = u
+        flow += 1

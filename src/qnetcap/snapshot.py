@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import MAX_LINK_PAIRS, LinkSpec, NodeSpec, Topology, _role_of
+from .model import MAX_LINK_PAIRS, LinkSpec, NodeSpec, Topology, _real, _role_of
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,6 @@ class SnapshotState:
     def __post_init__(self) -> None:
         if len(self.link_ids) != len(self.vector):
             raise ValueError("state vector length does not match link count")
-
-    @cached_property
-    def counts(self) -> Mapping[str, int]:
-        """Map link id -> count; links with count zero are omitted."""
-        return {lid: k for lid, k in zip(self.link_ids, self.vector) if k}
 
     @staticmethod
     def from_counts(t: Topology, counts: Mapping[str, int]) -> "SnapshotState":
@@ -61,10 +56,6 @@ class SnapshotState:
         return SnapshotState(t.link_ids, tuple(vec))
 
     @staticmethod
-    def from_vector(t: Topology, vector: Sequence[int]) -> "SnapshotState":
-        return SnapshotState(t.link_ids, tuple(int(k) for k in vector))
-
-    @staticmethod
     def full(t: Topology) -> "SnapshotState":
         return SnapshotState(t.link_ids, t.capacities)
 
@@ -79,9 +70,9 @@ class DirectedSnapshot:
 
     Arcs between internal nodes come in both directions; the source has no
     incoming arcs and the sink no outgoing ones. Gains are the per-node swap
-    success probabilities (1 for source, sink and splitter nodes), each in
-    (0, 1], and the source and sink have one. A snapshot that breaks any of
-    these rules is refused when it is built.
+    success probabilities (1 for source, sink and splitter nodes), each an
+    int or float (not a bool) in (0, 1], and the source and sink have one.
+    A snapshot that breaks any of these rules is refused when it is built.
     """
 
     arcs: frozenset[tuple[str, str]]
@@ -97,6 +88,8 @@ class DirectedSnapshot:
             if endpoint not in self.gains:
                 raise ValueError(f"node '{endpoint}' missing from snapshot gains")
         for node, gain in self.gains.items():
+            if not _real(gain):
+                raise ValueError(f"gain of node '{node}' is not a number: {gain!r}")
             if not 0.0 < gain <= 1.0:
                 raise ValueError(f"gain of node '{node}' out of (0, 1]: {gain}")
         one_way = []
@@ -160,13 +153,6 @@ def decode_index(bases: Sequence[int], index: int) -> list[int]:
     for l in range(len(bases) - 1, -1, -1):
         index, vec[l] = divmod(index, bases[l])
     return vec
-
-
-def state_from_index(t: Topology, index: int) -> SnapshotState:
-    """Decodes a mixed-radix state index (last link varies fastest)."""
-    if not 0 <= index < num_states(t):
-        raise ValueError(f"state index {index} out of range")
-    return SnapshotState(t.link_ids, tuple(decode_index(state_bases(t), index)))
 
 
 def check_vector(t: Topology, vector: Sequence[int]) -> None:

@@ -55,11 +55,10 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .flowcheck import FlowAssignment
 from .model import MAX_LINK_PAIRS
@@ -606,38 +605,3 @@ def solve_snapshot(g: DirectedSnapshot) -> SnapshotSolution:
     stats = SolveStats(nodes, time.perf_counter() - started)
     return SnapshotSolution(objective, tuple(paths), assignment, stats)
 
-
-def max_disjoint_paths(g: DirectedSnapshot) -> int:
-    """Maximum number of edge-disjoint source-sink paths (unit-cap max flow).
-
-    Deliberately independent of the packing solver: breadth-first
-    augmentation on the directed arcs, for use as a cross-check and bound.
-    """
-    residual: dict[tuple[str, str], int] = {}
-    adj: dict[str, list[str]] = {}
-    for u, v in g.sorted_arcs:
-        residual[(u, v)] = residual.get((u, v), 0) + 1
-        adj.setdefault(u, []).append(v)
-        if (v, u) not in residual:
-            residual[(v, u)] = 0
-            adj.setdefault(v, []).append(u)
-    source, sink = g.source, g.sink
-    flow = 0
-    while True:
-        parent: dict[str, Optional[str]] = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in parent and residual[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return flow
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            residual[(u, v)] -= 1
-            residual[(v, u)] += 1
-            v = u
-        flow += 1

@@ -126,7 +126,7 @@ def random_instance(
         vec = tuple(int(rng.integers(0, c + 1)) for c in t.capacities)
         if sum(vec) == 0:
             continue
-        return t, SnapshotState.from_vector(t, vec)
+        return t, SnapshotState(t.link_ids, vec)
 
 
 def reference_root_groups(t):

@@ -27,9 +27,9 @@ from qnetcap.capacity import (
 from qnetcap.flowcheck import TAU, check_assignment, extract_paths
 from qnetcap.model import LinkSpec, LossConstants, NodeSpec, Topology, derive_link_probability
 from qnetcap.montecarlo import SimConfig, simulate_local_knowledge
-from qnetcap.oracle import brute_force_capacity
+from qnetcap.oracle import brute_force_capacity, max_disjoint_paths
 from qnetcap.snapshot import num_states, to_directed, to_unit_capacity
-from qnetcap.solver import max_disjoint_paths, solve_snapshot
+from qnetcap.solver import solve_snapshot
 
 
 def timed_exact(t, threads):

@@ -357,7 +357,7 @@ def test_unit_gain_capacity_is_expected_max_flow():
     # disjoint routes, checkable against the independent max-flow routine
     from qnetcap.model import NodeSpec, Topology
     from qnetcap.snapshot import enumerate_states, to_directed
-    from qnetcap.solver import max_disjoint_paths
+    from qnetcap.oracle import max_disjoint_paths
 
     base = make_topology(
         {"a": 0.3, "b": 0.8},

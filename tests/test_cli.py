@@ -9,7 +9,7 @@ import yaml
 
 from conftest import long_chain
 from qnetcap.cli import main
-from qnetcap.model import dump_topology
+from qnetcap.model import serialize_topology
 
 
 def run(capsys, *argv):
@@ -139,7 +139,10 @@ def test_capacity_budget_guard(capsys):
         capsys, "capacity", "--topology", "five_node", "--budget", "10"
     )
     assert code == 1
-    assert "truncated_capacity or sampled_capacity" in err
+    assert err == (
+        "error: state space holds 5760 states, over the budget of 10; use --mode "
+        "truncated --top-k K, --mode sampled --samples N, or a larger --budget\n"
+    )
 
 
 def test_capacity_rejects_negative_thread_count(capsys):
@@ -265,7 +268,7 @@ def test_snapshot_surfnet_full_matches_capacity_module(capsys):
 def test_snapshot_oracle_on_a_long_chain(tmp_path, capsys, monkeypatch):
     t, gains = long_chain(1200)
     path = tmp_path / "chain.yaml"
-    path.write_text(dump_topology(t))
+    path.write_text(yaml.safe_dump(serialize_topology(t), sort_keys=False))
     calls = []
     monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
     code, out, _ = run(

@@ -52,7 +52,7 @@ def test_c6_demo_parametrized_gain(eps):
 
 def test_c7_demo_caught_only_by_c7():
     g = directed_state(datasets.load_dataset("demo_c7"))
-    a = datasets.c7_demo_assignment()
+    a = datasets.load_fixture_assignment("demo_c7_bad")
     assert check_assignment(g, a, active={"C6", "C8", "C9", "BOUNDS"}).feasible
     report = check_assignment(g, a, active={"C7"})
     assert not report.feasible
@@ -62,7 +62,7 @@ def test_c7_demo_caught_only_by_c7():
 
 def test_c9_demo_caught_only_by_c9():
     g = directed_state(datasets.load_dataset("demo_c9"))
-    a = datasets.c9_demo_assignment()
+    a = datasets.load_fixture_assignment("demo_c9_bad")
     assert check_assignment(g, a, active={"C6", "C7", "C8", "BOUNDS"}).feasible
     report = check_assignment(g, a, active={"C9"})
     assert [v.location for v in report.violations] == ["1"]
@@ -70,15 +70,10 @@ def test_c9_demo_caught_only_by_c9():
 
 
 def test_fixture_files_match_builders():
-    for name, builder in [
-        ("demo_c6_bad", datasets.c6_demo_assignment),
-        ("demo_c7_bad", datasets.c7_demo_assignment),
-        ("demo_c9_bad", datasets.c9_demo_assignment),
-    ]:
-        from_file = datasets.load_fixture_assignment(name)
-        built = builder()
-        assert from_file.flows == pytest.approx(built.flows)
-        assert from_file.matchings == built.matchings
+    from_file = datasets.load_fixture_assignment("demo_c6_bad")
+    built = datasets.c6_demo_assignment()
+    assert from_file.flows == pytest.approx(built.flows)
+    assert from_file.matchings == built.matchings
 
 
 def test_demo_builders_read_the_bundled_networks():
@@ -155,7 +150,7 @@ def test_extract_paths_zero_assignment(five_node):
 def test_extract_paths_requires_feasibility():
     g = directed_state(datasets.load_dataset("demo_c9"))
     with pytest.raises(InfeasibleAssignmentError):
-        extract_paths(g, datasets.c9_demo_assignment())
+        extract_paths(g, datasets.load_fixture_assignment("demo_c9_bad"))
 
 
 def test_single_chain_scaled_flow():
@@ -361,7 +356,7 @@ def checker_inputs(draw):
     triples in drawn order, maybe one stray arc or triple, and a tag set."""
     t = network(draw(st.sampled_from(EQUIVALENCE_NETWORKS)))
     vector = draw(st.tuples(*(st.integers(0, c) for c in t.capacities)))
-    g = directed_state(t, SnapshotState.from_vector(t, vector))
+    g = directed_state(t, SnapshotState(t.link_ids, vector))
     arcs = sorted(g.arcs)
     flows = {}
     if arcs:

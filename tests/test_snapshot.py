@@ -16,7 +16,6 @@ from qnetcap.snapshot import (
     enumerate_states,
     link_pmfs,
     num_states,
-    state_from_index,
     state_index,
     state_probability,
     to_directed,
@@ -83,14 +82,14 @@ def test_partitioned_enumeration_matches_full(five_node):
 
 
 def test_state_index_round_trip(five_node):
-    for index in (0, 1, 17, num_states(five_node) - 1):
-        s = state_from_index(five_node, index)
+    for index, (s, _) in enumerate(enumerate_states(five_node)):
         assert state_index(five_node, s) == index
+    assert index == num_states(five_node) - 1
 
 
 def test_state_probability_binomial():
     t = single_link(p=0.5, c=2)
-    s = SnapshotState.from_vector(t, (1,))
+    s = SnapshotState(t.link_ids, (1,))
     assert state_probability(t, s) == pytest.approx(0.5)
 
 
@@ -115,11 +114,11 @@ def test_state_checks_reject_bad_vectors(check, five_node, abilene):
     over = [0] * len(five_node.links)
     over[link] = 2
     with pytest.raises(ValueError, match="count 2 on link 0-4 exceeds capacity 1"):
-        check(five_node, SnapshotState.from_vector(five_node, over))
+        check(five_node, SnapshotState(five_node.link_ids, tuple(over)))
     negative = [0] * len(five_node.links)
     negative[link] = -1
     with pytest.raises(ValueError, match="count -1 on link 0-4 is negative"):
-        check(five_node, SnapshotState.from_vector(five_node, negative))
+        check(five_node, SnapshotState(five_node.link_ids, tuple(negative)))
     # a state of another topology, with twice as many links
     with pytest.raises(ValueError, match="14 counts for 7 links"):
         check(five_node, SnapshotState.empty(abilene))
@@ -127,8 +126,8 @@ def test_state_checks_reject_bad_vectors(check, five_node, abilene):
 
 def test_counts_mapping_omits_zeros(five_node):
     s = SnapshotState.from_counts(five_node, {"0-1": 2})
-    assert s.counts == {"0-1": 2}
-    assert s.vector[five_node.link_index["0-1"]] == 2
+    assert s.link_ids == five_node.link_ids
+    assert s.vector == tuple(2 if lid == "0-1" else 0 for lid in five_node.link_ids)
 
 
 def test_from_counts_refuses_a_repeat_or_a_non_integer(abilene):
@@ -142,7 +141,7 @@ def test_from_counts_refuses_a_repeat_or_a_non_integer(abilene):
         SnapshotState.from_counts(abilene, {"s-9": 1})
     # integers pass, numpy ones as plain ints
     s = SnapshotState.from_counts(abilene, {"1-s": np.int64(1), "2-1": 1})
-    assert s.counts == {"1-2": 1, "s-1": 1}
+    assert s.vector == tuple(int(lid in ("1-2", "s-1")) for lid in abilene.link_ids)
     assert all(type(k) is int for k in s.vector)
 
 
@@ -174,7 +173,7 @@ def test_unit_transform_passes_unit_states_through(name, counts):
     t2, s2 = to_unit_capacity(t, s)
     assert t2 is t and s2 is s
     rebuilt = rebuilt_unit_topology(t)
-    old = to_directed(rebuilt, SnapshotState.from_vector(rebuilt, s.vector))
+    old = to_directed(rebuilt, SnapshotState(rebuilt.link_ids, s.vector))
     new = to_directed(t2, s2)
     assert new.arcs == old.arcs
     assert new.gains == old.gains
@@ -182,7 +181,7 @@ def test_unit_transform_passes_unit_states_through(name, counts):
 
 def test_unit_transform_count_three_link():
     t = single_link(p=0.5, c=3)
-    s = SnapshotState.from_vector(t, (3,))
+    s = SnapshotState(t.link_ids, (3,))
     t2, s2 = to_unit_capacity(t, s)
     splitters = [n for n in t2.nodes if "__" in n.id]
     assert len(splitters) == 3
@@ -289,6 +288,11 @@ def test_directed_snapshot_rejects_ill_formed_arcs(arcs, sink, message):
             {"s": 1.0, "a": 0.5, "b": 0.5, "c": 0.5, "t": 1.0},
             "internal adjacency (b, c) lacks its reverse arc; ill-formed snapshot",
         ),
+        # not numbers; a bool is refused as validate_topology refuses a bool q
+        *(
+            ({("s", "t")}, {"s": bad, "t": 1.0}, f"gain of node 's' is not a number: {bad!r}")
+            for bad in ("1", None, [1], True)
+        ),
     ],
 )
 def test_directed_snapshot_rejects_bad_gains_and_one_way_arcs(arcs, gains, message):
@@ -326,3 +330,4 @@ def test_directed_respects_endpoint_rules(seed):
 def test_pmf_tables_normalized(five_node):
     for table in link_pmfs(five_node):
         assert math.fsum(table) == pytest.approx(1.0, abs=1e-12)
+

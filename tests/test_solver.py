@@ -19,9 +19,9 @@ from conftest import (
 from qnetcap import datasets
 from qnetcap.flowcheck import TAU, check_assignment
 from qnetcap.model import NodeSpec, Topology
-from qnetcap.oracle import brute_force_capacity
+from qnetcap.oracle import brute_force_capacity, max_disjoint_paths
 from qnetcap.snapshot import SnapshotState, to_directed, to_unit_capacity
-from qnetcap.solver import max_disjoint_paths, solve_snapshot
+from qnetcap.solver import solve_snapshot
 
 
 def test_five_node_full_state(five_node):
@@ -220,7 +220,7 @@ def test_monotone_in_added_edges():
         if not grow:
             continue
         vec[grow[0]] += 1
-        bigger = solve_state(t, SnapshotState.from_vector(t, vec)).objective
+        bigger = solve_state(t, SnapshotState(t.link_ids, tuple(vec))).objective
         assert bigger >= base - 1e-12
 
 
@@ -308,7 +308,7 @@ def test_multiplex_transform_equivalent_to_direct_packing():
         draws = [tuple(int(rng.integers(0, c + 1)) for c in t.capacities) for _ in range(50)]
         for vec in [t.capacities, *draws]:
             direct = packer.value(vec)
-            via_transform = solve_state(t, SnapshotState.from_vector(t, vec)).objective
+            via_transform = solve_state(t, SnapshotState(t.link_ids, vec)).objective
             assert via_transform == direct, f"{name} {vec}"
 
 
