@@ -111,7 +111,7 @@ class CapacityReport:
 def topology_packer(t: Topology) -> PathPacker:
     """Path-packing engine over the topology's own links and gains."""
     gains = {n.id: t.q_of(n.id) for n in t.nodes}
-    return index_network(gains, [(l.u, l.v) for l in t.links], t.source, t.sink)
+    return index_network(sorted(gains), gains, [(l.u, l.v) for l in t.links], t.source, t.sink)
 
 
 def full_state_capacity(t: Topology) -> float:

@@ -147,7 +147,11 @@ def check_assignment(
     a: FlowAssignment,
     active: Optional[Iterable[str]] = None,
 ) -> ConstraintReport:
-    """Evaluates the active constraint families; empty violations = feasible."""
+    """Evaluates the active constraint families; empty violations = feasible.
+
+    The objective and C9's node flows are summed from one pass over the
+    arcs, in sorted order, so the objective is objective_value(g, a) to the bit.
+    """
     tags = frozenset(ALL_CONSTRAINTS if active is None else (s.upper() for s in active))
     unknown = tags - frozenset(ALL_CONSTRAINTS)
     if unknown:
@@ -212,22 +216,27 @@ def check_assignment(
             if residual > TAU:
                 violations.append(Violation("C8", (i, j), residual))
 
+    outs: dict[str, list[float]] = {}  # each node's outgoing and incoming arc flows
+    ins: dict[str, list[float]] = {}
+    for arc in arcs:
+        f = fval(arc, 0.0)
+        outs.setdefault(arc[0], []).append(f)
+        ins.setdefault(arc[1], []).append(f)
+
     if "C9" in tags:
-        for i in sorted(g.gains):
+        for i in g.sorted_nodes:
             if i in (g.source, g.sink):
                 continue
-            out_flow = sum(fval((i, j), 0.0) for j in g.out_arcs.get(i, ()))
-            in_flow = sum(fval((j, i), 0.0) for j in g.in_arcs.get(i, ()))
-            residual = out_flow - in_flow * g.gains[i]
+            residual = sum(outs.get(i, ())) - sum(ins.get(i, ())) * g.gains[i]
             if abs(residual) > TAU:
                 violations.append(Violation("C9", i, residual))
 
-    return ConstraintReport(tuple(violations), objective_value(g, a))
+    return ConstraintReport(tuple(violations), sum(ins.get(g.sink, ())))
 
 
 def objective_value(g: DirectedSnapshot, a: FlowAssignment) -> float:
-    """Total flow delivered into the sink."""
-    return sum(a.flows.get((j, g.sink), 0.0) for j in g.in_arcs.get(g.sink, ()))
+    """Total flow delivered into the sink, summed in sorted arc order."""
+    return sum(a.flows.get(arc, 0.0) for arc in g.sorted_arcs if arc[1] == g.sink)
 
 
 def extract_paths(

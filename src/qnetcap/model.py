@@ -209,23 +209,26 @@ def validate_topology(t: Topology) -> list[str]:
             diags.append(f"nodes[{i}].q: q out of (0,1] for internal node '{n.id}' (got {n.q})")
     seen_pairs: set[tuple[str, str]] = set()
     for i, l in enumerate(t.links):
-        loc = f"links[{i}] ({l.id})"
+        found = []  # the link's diagnostics, each to follow its location
         if l.u == l.v:
-            diags.append(f"{loc}: self-loop forbidden")
+            found.append(": self-loop forbidden")
         for end in (l.u, l.v):
             if end not in id_set:
-                diags.append(f"{loc}: endpoint '{end}' not in nodes")
-        if l.key in seen_pairs:
-            diags.append(f"{loc}: duplicate link for pair {l.key}")
-        seen_pairs.add(l.key)
+                found.append(f": endpoint '{end}' not in nodes")
+        key = l.key
+        if key in seen_pairs:
+            found.append(f": duplicate link for pair {key}")
+        seen_pairs.add(key)
         if (l.length_km is None) == (l.p is None):
-            diags.append(f"{loc}: exactly one of length_km / p must be given")
+            found.append(": exactly one of length_km / p must be given")
         if l.length_km is not None and not (_real(l.length_km) and 0.0 <= l.length_km < math.inf):
-            diags.append(f"{loc}.length_km: must be finite and >= 0, got {l.length_km!r}")
+            found.append(f".length_km: must be finite and >= 0, got {l.length_km!r}")
         if l.p is not None and not (_real(l.p) and 0.0 <= l.p <= 1.0):
-            diags.append(f"{loc}.p: must be in [0, 1], got {l.p!r}")
+            found.append(f".p: must be in [0, 1], got {l.p!r}")
         if isinstance(l.c, bool) or not isinstance(l.c, int) or not 1 <= l.c <= MAX_LINK_PAIRS:
-            diags.append(f"{loc}.c: must be an integer in [1, {MAX_LINK_PAIRS}], got {l.c!r}")
+            found.append(f".c: must be an integer in [1, {MAX_LINK_PAIRS}], got {l.c!r}")
+        if found:  # the location is formatted only for a link with a diagnostic
+            diags += (f"links[{i}] ({l.id}){d}" for d in found)
     # link_index holds two ids per link, one for a self-loop, unless ids clash
     if len(t.link_index) < sum(1 if l.u == l.v else 2 for l in t.links):
         diags.extend(_link_id_clashes(t))

@@ -93,16 +93,17 @@ class DirectedSnapshot:
             if not 0.0 < gain <= 1.0:
                 raise ValueError(f"gain of node '{node}' out of (0, 1]: {gain}")
         one_way = []
-        for u, v in self.arcs:
+        arcs, gains, source, sink = self.arcs, self.gains, self.source, self.sink
+        for u, v in arcs:
             if u == v:
                 raise ValueError(f"self-arc ({u}, {v}) forbidden")
-            if v == self.source:
+            if v == source:
                 raise ValueError(f"arc ({u}, {v}) enters the source")
-            if u == self.sink:
+            if u == sink:
                 raise ValueError(f"arc ({u}, {v}) leaves the sink")
-            if u not in self.gains or v not in self.gains:
+            if u not in gains or v not in gains:
                 raise ValueError(f"arc ({u}, {v}) references node without a gain")
-            if u != self.source and v != self.sink and (v, u) not in self.arcs:
+            if u != source and v != sink and (v, u) not in arcs:
                 one_way.append((u, v))
         if one_way:
             u, v = min(one_way)
@@ -116,18 +117,16 @@ class DirectedSnapshot:
         return tuple(sorted(self.arcs))
 
     @cached_property
+    def sorted_nodes(self) -> tuple[str, ...]:
+        """The node ids (the keys of gains) in sorted order, sorted once per snapshot."""
+        return tuple(sorted(self.gains))
+
+    @cached_property
     def out_arcs(self) -> Mapping[str, tuple[str, ...]]:
         adj: dict[str, list[str]] = {}
         for u, v in self.sorted_arcs:
             adj.setdefault(u, []).append(v)
         return {u: tuple(vs) for u, vs in adj.items()}
-
-    @cached_property
-    def in_arcs(self) -> Mapping[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {}
-        for u, v in self.sorted_arcs:
-            adj.setdefault(v, []).append(u)
-        return {v: tuple(us) for v, us in adj.items()}
 
 
 def num_states(t: Topology) -> int:
@@ -276,20 +275,19 @@ def to_unit_capacity(t: Topology, s: SnapshotState) -> tuple[Topology, SnapshotS
     nodes = list(t.nodes)
     taken = {n.id for n in nodes} | set(t.link_index)
     links: list[LinkSpec] = []
-    vec_entries: list[tuple[str, int]] = []
-    for link, count in zip(t.links, s.vector):
+    kept: dict[int, int] = {}  # the count of each link passed through, by id()
+    for link, p, count in zip(t.links, t.probabilities, s.vector):
         if count <= 1:
-            links.append(LinkSpec(link.u, link.v, p=link.resolved_p(t.constants), c=1))
-            vec_entries.append((links[-1].id, count))
+            links.append(LinkSpec(link.u, link.v, p=p, c=1))
+            kept[id(links[-1])] = count
             continue
         for k in range(1, count + 1):
             mid = splitter_id(link.u, link.v, k, taken)
             nodes.append(NodeSpec(mid, 1.0, _role_of(mid, t.source, t.sink)))
-            for a, b in ((link.u, mid), (mid, link.v)):
-                links.append(LinkSpec(a, b, p=link.resolved_p(t.constants), c=1))
-                vec_entries.append((links[-1].id, 1))
+            links += LinkSpec(link.u, mid, p=p, c=1), LinkSpec(mid, link.v, p=p, c=1)
     t2 = Topology(tuple(nodes), tuple(links), t.source, t.sink, t.constants)
-    return t2, SnapshotState.from_counts(t2, {lid: k for lid, k in vec_entries if k})
+    # t2 holds these links, in its own order; each splitter link holds its pair
+    return t2, SnapshotState(t2.link_ids, tuple(kept.get(id(l), 1) for l in t2.links))
 
 
 def to_directed(t: Topology, s: SnapshotState) -> DirectedSnapshot:
@@ -298,6 +296,7 @@ def to_directed(t: Topology, s: SnapshotState) -> DirectedSnapshot:
     Realized internal-internal links produce both arc directions; links at
     the source only leave it, links at the sink only enter it.
     """
+    source, sink = t.source, t.sink
     arcs: set[tuple[str, str]] = set()
     for link, count in zip(t.links, s.vector):
         if count == 0:
@@ -307,15 +306,15 @@ def to_directed(t: Topology, s: SnapshotState) -> DirectedSnapshot:
                 f"link {link.id} has count {count}; apply to_unit_capacity first"
             )
         u, v = link.u, link.v
-        if u == t.sink or v == t.source:
+        if u == sink or v == source:
             u, v = v, u
-        if u == t.source or v == t.sink:
+        if u == source or v == sink:
             arcs.add((u, v))
         else:
             arcs.add((u, v))
             arcs.add((v, u))
-    gains = {n.id: t.q_of(n.id) for n in t.nodes}
-    return DirectedSnapshot(frozenset(arcs), gains, t.source, t.sink)
+    gains = {n.id: 1.0 if n.id in (source, sink) else n.q for n in t.nodes}  # as t.q_of
+    return DirectedSnapshot(frozenset(arcs), gains, source, sink)
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:

@@ -114,15 +114,15 @@ class PathPacker:
     ):
         self.ids = tuple(ids)
         self.num_nodes = num_nodes = len(self.ids)
-        self.links = tuple((int(u), int(v)) for u, v in links)
-        self.gains = tuple(float(g) for g in gains)
+        self.links = tuple(links)
+        self.gains = tuple(gains)
         self.source, self.sink = source, sink
         self.internal = [n != source and n != sink for n in range(num_nodes)]
         adj: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
-        for idx, (u, v) in enumerate(self.links):
+        for idx, (u, v) in enumerate(self.links):  # in link order, so each entry list is sorted
             adj[u].append((idx, v))
             adj[v].append((idx, u))
-        self.adj = tuple(tuple(sorted(entries)) for entries in adj)
+        self.adj = tuple(map(tuple, adj))
         self.source_links = self.adj[source]
         self.ones = int.from_bytes(b"\x01" * len(self.links), "little")
         # per source link in branch order: its support bit, the mask that
@@ -449,6 +449,11 @@ class PathPacker:
         Paths are node-index tuples from source to sink; the returned set is
         sorted. Deterministic for a given problem. solve_snapshot breaks ties
         on the graph with relays folded in, then hands out the relays.
+        """
+        return self._rebuild(self.pack(counts))
+
+    def _rebuild(self, s: int) -> tuple[tuple[int, ...], ...]:
+        """best_packing of the packed state s.
 
         The walk descends only into children that reach the optimum, with
         one frame per unfinished node: its key and optimum, its children
@@ -459,7 +464,6 @@ class PathPacker:
         """
         rebuilt, strip, search, sink = self._rebuild_memo, self._strip, self._search, self.sink
         memo, bound = self.memo, self._bound
-        s = self.pack(counts)
         frames: list[list] = []
         while True:
             s = strip(s)
@@ -500,11 +504,12 @@ class PathPacker:
 
 
 def index_network(
-    gains: Mapping[str, float], links: Sequence[tuple[str, str]], source: str, sink: str
+    ids: Sequence[str], gains: Mapping[str, float], links: Sequence[tuple[str, str]],
+    source: str, sink: str,
 ) -> PathPacker:
-    """Packer over named nodes (the keys of gains) and links, node i being
-    ids[i]: sorted ids and the caller's link order set the branch order."""
-    ids = tuple(sorted(gains))
+    """Packer over the named nodes ids, node i being ids[i], with gains[n]
+    the gain of node n, and named links: the caller's node and link orders
+    set the branch order."""
     index = {n: i for i, n in enumerate(ids)}
     links = [(index[u], index[v]) for u, v in links]
     return PathPacker(ids, links, [gains[n] for n in ids], index[source], index[sink])
@@ -539,17 +544,19 @@ def _indexed_problem(g: DirectedSnapshot):
     A relay is an internal node of gain 1 on exactly two links, where
     neither neighbour is also such a node. It becomes one more pair on the
     link between its neighbours; past MAX_LINK_PAIRS on one link, relays
-    stay nodes. Ids are sorted and links sorted by endpoint pair. Returns
-    the packer and, per link, the nodes each of its pairs passes: () for
-    the direct link, first, then (relay,) in name order.
+    stay nodes. Ids keep the order of g.sorted_nodes, sorted once per
+    snapshot, and links are sorted by endpoint pair. Returns the packer
+    and, per link, the nodes each of its pairs passes: () for the direct
+    link, first, then (relay,) in name order.
     """
-    nbrs: dict[str, list[str]] = {}
+    nbrs: dict[str, list[str]] = {n: [] for n in g.sorted_nodes}
+    routes: dict[tuple[str, str], list[tuple]] = {}
     for u, v in g.sorted_arcs:
         if u > v and u != g.source and v != g.sink:
             continue  # an internal pair is taken once, as its arc with u < v
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    routes = {(u, v): [()] for u, ns in nbrs.items() for v in ns if u < v}
+        routes[(u, v) if u < v else (v, u)] = [()]
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     twos = {n for n, ns in nbrs.items() if len(ns) == 2 and g.gains[n] == 1.0}
     twos -= {g.source, g.sink}
     gains = dict(g.gains)
@@ -559,7 +566,8 @@ def _indexed_problem(g: DirectedSnapshot):
             routes.setdefault(pair, []).append((n,))
             del routes[min(a, n), max(a, n)], routes[min(b, n), max(b, n)], gains[n]
     links = sorted(routes)
-    return index_network(gains, links, g.source, g.sink), [routes[l] for l in links]
+    ids = [n for n in g.sorted_nodes if n in gains]
+    return index_network(ids, gains, links, g.source, g.sink), [routes[l] for l in links]
 
 
 def assignment_from_paths(
@@ -584,18 +592,19 @@ def assignment_from_paths(
 def solve_snapshot(g: DirectedSnapshot) -> SnapshotSolution:
     """Exact snapshot capacity with a certifying assignment and path set.
 
-    Packs g with its relays folded in (see _indexed_problem), then routes
-    the packed paths, in order, back through g: each link hands out its
-    direct arc first, then its relays in name order.
+    Packs g with its relays folded in (see _indexed_problem), once: the
+    search (value) and the path rebuild (best_packing) start from one packed
+    state. Then routes the packed paths, in order, back through g: each link
+    hands out its direct arc first, then its relays in name order.
     """
     started = time.perf_counter()
     packer, routes = _indexed_problem(g)
-    counts = [len(r) for r in routes]
-    objective = packer.value(counts)
-    nodes = packer.nodes_explored  # before best_packing, whose memo reads would count
+    s = packer.pack([len(r) for r in routes])
+    objective = packer._search(s)
+    nodes = packer.nodes_explored  # before the rebuild, whose memo reads would count
     unused = {link: iter(r) for link, r in zip(packer.links, routes)}
     paths = []
-    for path in packer.best_packing(counts):
+    for path in packer._rebuild(s):
         named = [packer.ids[path[0]]]
         for a, b in zip(path, path[1:]):
             named += (*next(unused[min(a, b), max(a, b)]), packer.ids[b])

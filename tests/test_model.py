@@ -315,6 +315,32 @@ def test_validate_flags_duplicate_links():
     assert len(exc.value.diagnostics) == 1
 
 
+@pytest.mark.parametrize(
+    "link, diagnostic",
+    [
+        (LinkSpec("m", "m", p=0.5), "links[0] (m-m): self-loop forbidden"),
+        (LinkSpec("m", "x", p=0.5), "links[2] (m-x): endpoint 'x' not in nodes"),
+        (LinkSpec("t", "m", p=0.4), "links[2] (t-m): duplicate link for pair ('m', 't')"),
+        (LinkSpec("s", "t", p=0.5, length_km=3.0),
+         "links[2] (s-t): exactly one of length_km / p must be given"),
+        (LinkSpec("s", "t"), "links[2] (s-t): exactly one of length_km / p must be given"),
+        (LinkSpec("s", "t", p=1.5), "links[2] (s-t).p: must be in [0, 1], got 1.5"),
+        (LinkSpec("s", "t", p=0.5, c=0),
+         "links[2] (s-t).c: must be an integer in [1, 255], got 0"),
+        (LinkSpec("s", "t", length_km=-1.0),
+         "links[2] (s-t).length_km: must be finite and >= 0, got -1.0"),
+    ],
+    ids=["self-loop", "endpoint", "duplicate", "both", "neither", "p", "c", "length_km"],
+)
+def test_link_diagnostics_are_pinned(link, diagnostic):
+    # each names the link by its place in the sorted link order and its id
+    nodes = (NodeSpec("s", role="source"), NodeSpec("m", 0.5), NodeSpec("t", role="sink"))
+    links = (LinkSpec("s", "m", p=0.5), LinkSpec("m", "t", p=0.5), link)
+    with pytest.raises(TopologyError) as exc:
+        Topology(nodes, links, "s", "t")
+    assert exc.value.diagnostics == [diagnostic]
+
+
 def with_endpoints(*internal):
     """s, t and internal nodes of the given ids."""
     ends = (NodeSpec("s", role="source"), NodeSpec("t", role="sink"))

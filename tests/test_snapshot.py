@@ -254,6 +254,23 @@ def test_directed_arc_rules():
 
 
 @pytest.mark.parametrize(
+    "name, vector",
+    [(name, None) for name in datasets.DATASETS] + [("five_node", (2, 0, 1, 1, 3, 0, 2))],
+)
+def test_directed_gains_are_the_topology_gains(name, vector):
+    # q at internal nodes, splitters included, and 1.0 at the endpoints, in
+    # node order: what Topology.q_of gives
+    t = datasets.load_dataset(name)
+    state = SnapshotState.full(t) if vector is None else SnapshotState(t.link_ids, vector)
+    t2, s2 = to_unit_capacity(t, state)
+    gains = to_directed(t2, s2).gains
+    assert [(n, repr(q)) for n, q in gains.items()] == [
+        (n.id, repr(t2.q_of(n.id))) for n in t2.nodes
+    ]
+    assert gains == {n.id: t2.q_of(n.id) for n in t2.nodes}
+
+
+@pytest.mark.parametrize(
     "arcs, sink, message",
     [
         ({("s", "a")}, "s", "source and sink coincide"),

@@ -469,7 +469,8 @@ def test_packer_fits_its_documented_frame_bound(abilene_mux2):
     # abilene_mux2's 39-node splitter graph, unfolded
     g = directed_state(abilene_mux2)
     links = sorted({tuple(sorted(arc)) for arc in g.arcs})
-    cases.append((index_network(g.gains, links, g.source, g.sink), [1] * len(links)))
+    packer = index_network(g.sorted_nodes, g.gains, links, g.source, g.sink)
+    cases.append((packer, [1] * len(links)))
     assert cases[-1][0].num_nodes == 39
     start = sys.getrecursionlimit()
     try:
@@ -567,6 +568,25 @@ def test_solve_snapshot_counts_search_nodes_only(name, nodes):
     # alone, without the memo reads of the path rebuild that follows it
     solution = solve_state(datasets.load_dataset(name))
     assert solution.stats.nodes_explored == nodes
+
+
+@pytest.mark.parametrize("name", [c[0] for c in FULL_STATE_COUNTS])
+def test_solve_snapshot_packs_its_counts_once(name, monkeypatch):
+    # the search and the path rebuild both start from one packed state
+    from qnetcap.solver import PathPacker
+
+    packed = []
+    pack = PathPacker.pack
+
+    def spy(self, counts):
+        packed.append(list(counts))
+        return pack(self, counts)
+
+    monkeypatch.setattr(PathPacker, "pack", spy)
+    g = directed_state(datasets.load_dataset(name))
+    solution = solve_snapshot(g)
+    assert len(packed) == 1
+    assert solution.objective > 0.0 and solution.paths
 
 
 def reference_strip(packer, counts):
