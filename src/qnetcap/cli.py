@@ -27,7 +27,7 @@ from . import __version__, capacity as capacity_mod, datasets, montecarlo
 from .flowcheck import ALL_CONSTRAINTS, check_assignment, load_assignment
 from .model import Topology, TopologyError, load_topology
 from .oracle import SizeGuardError, brute_force_capacity
-from .snapshot import SnapshotState, check_vector, to_directed, to_unit_capacity
+from .snapshot import SnapshotState, to_directed, to_unit_capacity
 from .solver import solve_snapshot
 
 
@@ -95,9 +95,7 @@ def _parse_state(t: Topology, spec: str) -> SnapshotState:
         if canonical in counts:
             raise TopologyError([f"state: link '{canonical}' is given twice"])
         counts[canonical] = int(count)
-    state = SnapshotState.from_counts(t, counts)
-    check_vector(t, state.vector)
-    return state
+    return SnapshotState.from_counts(t, counts)  # to_unit_capacity checks its counts
 
 
 def _directed_state(args):

@@ -17,9 +17,6 @@ from typing import Iterable, Mapping, Optional
 
 import yaml
 
-ROLE_SOURCE = "source"
-ROLE_SINK = "sink"
-ROLE_INTERNAL = "internal"
 MAX_LINK_PAIRS = 255  # the solver packs a state's pair counts one byte per link
 # libyaml's parser when PyYAML was built with it; same resolver and constructor
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -66,11 +63,11 @@ def derive_link_probability(length_km: float, constants: LossConstants = LossCon
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """A network node; q is the swap (BSM) success probability."""
+    """A network node; q is the swap (BSM) success probability. The
+    topology's endpoints say which node is the source and which the sink."""
 
     id: str
     q: float = 1.0
-    role: str = ROLE_INTERNAL
 
 
 @dataclass(frozen=True)
@@ -162,25 +159,10 @@ class Topology:
             return 1.0
         return self.node_by_id[node_id].q
 
-    def with_endpoints(self, source: str, sink: str) -> "Topology":
-        """Same physical network with a different source/sink designation."""
-        nodes = tuple(
-            NodeSpec(n.id, n.q, _role_of(n.id, source, sink)) for n in self.nodes
-        )
-        return Topology(nodes, self.links, source, sink, self.constants)
-
     def digest(self) -> str:
         """Hex digest of the canonical serialized form."""
         canon = json.dumps(serialize_topology(self), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _role_of(node_id: str, source: str, sink: str) -> str:
-    if node_id == source:
-        return ROLE_SOURCE
-    if node_id == sink:
-        return ROLE_SINK
-    return ROLE_INTERNAL
 
 
 def validate_topology(t: Topology) -> list[str]:
@@ -197,14 +179,12 @@ def validate_topology(t: Topology) -> list[str]:
         if ep not in id_set:
             diags.append(f"endpoints.{name}: node '{ep}' not in nodes")
     for i, n in enumerate(t.nodes):
-        expected_role = _role_of(n.id, t.source, t.sink)
-        if n.role != expected_role:
-            diags.append(f"nodes[{i}].role: '{n.role}' but endpoints imply '{expected_role}'")
         if not _real(n.q):
             diags.append(f"nodes[{i}].q: must be a number, got {n.q!r}")
         elif n.id in (t.source, t.sink):
             if n.q != 1.0:
-                diags.append(f"nodes[{i}].q: q must be absent or 1 for {expected_role} '{n.id}'")
+                end = "source" if n.id == t.source else "sink"
+                diags.append(f"nodes[{i}].q: q must be absent or 1 for {end} '{n.id}'")
         elif not 0.0 < n.q <= 1.0:
             diags.append(f"nodes[{i}].q: q out of (0,1] for internal node '{n.id}' (got {n.q})")
     seen_pairs: set[tuple[str, str]] = set()
@@ -293,7 +273,7 @@ def parse_topology(document: Mapping) -> Topology:
             c_eff=number(raw_const.get("c_eff", 0.9)), beta=number(raw_const.get("beta", 0.2))
         )
     except TopologyError as exc:
-        diags.append(f"constants: {exc}")
+        diags += exc.diagnostics
         constants = LossConstants()
 
     endpoints = document.get("endpoints") or {}
@@ -310,11 +290,10 @@ def parse_topology(document: Mapping) -> Topology:
     for i, raw in enumerate(_section(document, "nodes", (list, tuple), "a list", diags)):
         if not _require(isinstance(raw, Mapping) and "id" in raw, diags, f"nodes[{i}]: need an id"):
             continue
-        nid = str(raw["id"])
         unknown = set(raw) - {"id", "q"}
         if unknown:
             diags.append(f"nodes[{i}]: unknown keys {sorted(unknown)}")
-        nodes.append(NodeSpec(nid, number(raw.get("q", 1.0)), _role_of(nid, source, sink)))
+        nodes.append(NodeSpec(str(raw["id"]), number(raw.get("q", 1.0))))
 
     links: list[LinkSpec] = []
     for i, raw in enumerate(_section(document, "links", (list, tuple), "a list", diags)):
@@ -368,7 +347,7 @@ def serialize_topology(t: Topology) -> dict:
     nodes = []
     for n in t.nodes:
         entry: dict = {"id": n.id}
-        if n.role == ROLE_INTERNAL:
+        if n.id not in (t.source, t.sink):
             entry["q"] = n.q
         nodes.append(entry)
     links = []

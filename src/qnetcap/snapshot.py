@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import MAX_LINK_PAIRS, LinkSpec, NodeSpec, Topology, _real, _role_of
+from .model import MAX_LINK_PAIRS, LinkSpec, NodeSpec, Topology, _real
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def to_unit_capacity(t: Topology, s: SnapshotState) -> tuple[Topology, SnapshotS
             continue
         for k in range(1, count + 1):
             mid = splitter_id(link.u, link.v, k, taken)
-            nodes.append(NodeSpec(mid, 1.0, _role_of(mid, t.source, t.sink)))
+            nodes.append(NodeSpec(mid, 1.0))
             links += LinkSpec(link.u, mid, p=p, c=1), LinkSpec(mid, link.v, p=p, c=1)
     t2 = Topology(tuple(nodes), tuple(links), t.source, t.sink, t.constants)
     # t2 holds these links, in its own order; each splitter link holds its pair
@@ -294,8 +294,11 @@ def to_directed(t: Topology, s: SnapshotState) -> DirectedSnapshot:
     """Directed unit-capacity graph of a unit-count state.
 
     Realized internal-internal links produce both arc directions; links at
-    the source only leave it, links at the sink only enter it.
+    the source only leave it, links at the sink only enter it. A vector
+    that is not one count in [0, c] per link is a ValueError, as is a
+    count above 1.
     """
+    check_vector(t, s.vector)
     source, sink = t.source, t.sink
     arcs: set[tuple[str, str]] = set()
     for link, count in zip(t.links, s.vector):

@@ -21,7 +21,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"PASS  {criterion}: {detail}")
 
 from qnetcap import datasets
-from qnetcap.model import LinkSpec, NodeSpec, Topology, _role_of
+from qnetcap.model import LinkSpec, NodeSpec, Topology
 from qnetcap.snapshot import SnapshotState, to_directed, to_unit_capacity
 from qnetcap.solver import solve_snapshot
 
@@ -54,7 +54,7 @@ def surfnet():
 def make_topology(qmap, pairs, source="s", sink="t", p=1.0, caps=None):
     """Small test network; qmap holds internal gains, links default to p=1."""
     names = [source, *sorted(qmap), sink]
-    nodes = tuple(NodeSpec(n, qmap.get(n, 1.0), _role_of(n, source, sink)) for n in names)
+    nodes = tuple(NodeSpec(n, qmap.get(n, 1.0)) for n in names)
     caps = caps or {}
     links = tuple(
         LinkSpec(u, v, p=p if isinstance(p, float) else p[(u, v)], c=caps.get((u, v), 1))
@@ -119,9 +119,7 @@ def random_instance(
             p = float(rng.random()) if vary_p else 0.5
             links.append(LinkSpec(u, v, p=p, c=c))
         qmap = {f"n{i}": float(1.0 - rng.random() * 0.95) for i in range(n_internal)}
-        nodes = tuple(
-            NodeSpec(n, qmap.get(n, 1.0), _role_of(n, "s", "t")) for n in names
-        )
+        nodes = tuple(NodeSpec(n, qmap.get(n, 1.0)) for n in names)
         t = Topology(nodes, tuple(links), "s", "t")
         vec = tuple(int(rng.integers(0, c + 1)) for c in t.capacities)
         if sum(vec) == 0:

@@ -5,6 +5,7 @@ NSFNet, SURFnet and reversal runs carry the `slow` marker and the
 4.8M-state multiplexed Abilene runs carry `nightly`; all run by default.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -200,7 +201,7 @@ def test_criterion_8_solver_oracle_parity(random_corpus):
         worst = max(worst, abs(solution.objective - reference))
         assert abs(solution.objective - reference) <= 1e-9
         unit_gain = Topology(
-            tuple(NodeSpec(n.id, 1.0, n.role) for n in t.nodes),
+            tuple(NodeSpec(n.id, 1.0) for n in t.nodes),
             t.links, t.source, t.sink,
         )
         g1 = to_directed(unit_gain, state)
@@ -251,7 +252,7 @@ def test_criterion_10_reversal_fast(five_node, abilene, five_exact, abilene_exac
         ("abilene", abilene, abilene_exact),
     ):
         swapped = exact_capacity(
-            t.with_endpoints(t.sink, t.source), threads=1, budget=None
+            dataclasses.replace(t, source=t.sink, sink=t.source), threads=1, budget=None
         )
         assert swapped.value == pytest.approx(report.value, abs=1e-9)
         pairs.append(name)
@@ -265,7 +266,7 @@ def test_criterion_10_reversal_fast(five_node, abilene, five_exact, abilene_exac
 def test_criterion_10_reversal_nsfnet(nsfnet, nsfnet_exact):
     report, _ = nsfnet_exact
     swapped = exact_capacity(
-        nsfnet.with_endpoints(nsfnet.sink, nsfnet.source), threads=4, budget=None
+        dataclasses.replace(nsfnet, source=nsfnet.sink, sink=nsfnet.source), threads=4, budget=None
     )
     assert swapped.value == pytest.approx(report.value, abs=1e-9)
     record_acceptance(
@@ -277,7 +278,9 @@ def test_criterion_10_reversal_nsfnet(nsfnet, nsfnet_exact):
 def test_criterion_10_reversal_surfnet(surfnet, surfnet_exact):
     report, _ = surfnet_exact
     swapped = exact_capacity(
-        surfnet.with_endpoints(surfnet.sink, surfnet.source), threads=2, budget=None
+        dataclasses.replace(surfnet, source=surfnet.sink, sink=surfnet.source),
+        threads=2,
+        budget=None,
     )
     assert swapped.value == pytest.approx(report.value, abs=1e-9)
     record_acceptance(
@@ -289,7 +292,7 @@ def test_criterion_10_reversal_surfnet(surfnet, surfnet_exact):
 def test_criterion_10_reversal_abilene_mux2(abilene_mux2):
     forward = exact_capacity(abilene_mux2, threads=4, budget=None)
     swapped = exact_capacity(
-        abilene_mux2.with_endpoints(abilene_mux2.sink, abilene_mux2.source),
+        dataclasses.replace(abilene_mux2, source=abilene_mux2.sink, sink=abilene_mux2.source),
         threads=4,
         budget=None,
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_topology, random_instance, reference_root_groups
-from qnetcap import capacity, datasets
+from qnetcap import capacity, datasets, solver
 from qnetcap.capacity import (
     SAMPLE_CHUNK,
     CapacityReport,
@@ -108,7 +108,7 @@ def test_full_state_capacity_disconnected():
 def test_exact_reversal_five_node(five_node):
     forward = exact_capacity(five_node, threads=1).value
     backward = exact_capacity(
-        five_node.with_endpoints(five_node.sink, five_node.source), threads=1
+        dataclasses.replace(five_node, source=five_node.sink, sink=five_node.source), threads=1
     ).value
     assert forward == pytest.approx(backward, abs=1e-9)
 
@@ -365,7 +365,7 @@ def test_unit_gain_capacity_is_expected_max_flow():
         p=0.6,
     )
     unit = Topology(
-        tuple(NodeSpec(n.id, 1.0, n.role) for n in base.nodes),
+        tuple(NodeSpec(n.id, 1.0) for n in base.nodes),
         base.links, base.source, base.sink,
     )
     expected = math.fsum(
@@ -889,6 +889,35 @@ def test_tree_memo_is_cleared_at_the_cap(name, depth, monkeypatch):
     assert exact_capacity(t, threads=1, budget=None) == want
     assert max(sizes) == 4 and len(sizes) > 4  # filled and cleared, never past the cap
     assert exact_capacity(t, threads=2, budget=None) == want
+
+
+def test_packer_and_sample_caches_cleared_at_their_caps_keep_every_value(monkeypatch):
+    # each cap cut to 4 entries: the packer's memo is cleared mid-search, the
+    # rebuild searches children the cleared memo lost, and the sampled run's
+    # cache of states is cleared; every value and packing stays to the bit
+    def packings(name):
+        t = datasets.load_dataset(name)
+        rng = np.random.default_rng(1)
+        vectors = [t.capacities] + [
+            tuple(int(rng.integers(0, c + 1)) for c in t.capacities) for _ in range(30)
+        ]
+        packer = topology_packer(t)
+        found = [(repr(packer.value(v)), packer.best_packing(v)) for v in vectors]
+        return found, len(packer.memo)
+
+    def runs():
+        five, mux2 = packings("five_node"), packings("abilene_mux2")
+        report = sampled_capacity(datasets.load_dataset("five_node"), 3000, seed=3, threads=1)
+        return five, mux2, repr(report)
+
+    want = runs()
+    monkeypatch.setattr(solver, "MEMO_CAP", 4)
+    monkeypatch.setattr(capacity, "_RAW_CACHE_CAP", 4)
+    got = runs()
+    assert [found for found, _ in got[:2]] == [found for found, _ in want[:2]]
+    assert got[2] == want[2]
+    # the unpatched memos outgrow the cap, the patched ones never hold more
+    assert all(size > 4 for _, size in want[:2]) and all(size <= 4 for _, size in got[:2])
 
 
 def test_tree_matches_bfs_tree_on_random_and_count_255_networks(monkeypatch):

@@ -90,7 +90,7 @@ def test_demo_builders_override_only_the_named_gains(name, builder, named, eps):
     fixture, built = datasets.load_dataset(name), builder(eps)
     assert (built.links, built.source, built.sink) == (fixture.links, fixture.source, fixture.sink)
     assert built.constants == fixture.constants
-    assert [(n.id, n.role) for n in built.nodes] == [(n.id, n.role) for n in fixture.nodes]
+    assert [n.id for n in built.nodes] == [n.id for n in fixture.nodes]
     for n, m in zip(built.nodes, fixture.nodes):
         assert n.q == (eps if n.id in named else m.q), n.id
 

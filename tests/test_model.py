@@ -1,5 +1,6 @@
 """Topology data model, loss-model derivation, file ingestion."""
 
+import dataclasses
 import re
 
 import pytest
@@ -7,6 +8,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from qnetcap import datasets
+from qnetcap.capacity import exact_capacity
 from qnetcap.flowcheck import load_assignment
 from qnetcap.model import (
     YAML_LOADER,
@@ -61,6 +63,25 @@ def test_derive_strictly_decreasing_in_length(shorter, extra):
     )
 
 
+@pytest.mark.parametrize(
+    "constants, diagnostic",
+    [
+        ("{c_eff: 2}", "constants.c_eff: must be in (0, 1], got 2.0"),
+        ("{beta: -1}", "constants.beta: must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_loss_constant_diagnostic_is_reported_once(constants, diagnostic):
+    doc = f"""
+nodes: [{{id: a}}, {{id: b}}]
+links: [{{u: a, v: b, p: 0.5}}]
+endpoints: {{source: a, sink: b}}
+constants: {constants}
+"""
+    with pytest.raises(TopologyError) as exc:
+        load_topology(doc)
+    assert exc.value.diagnostics == [diagnostic]
+
+
 def test_loss_constants_validated():
     with pytest.raises(TopologyError):
         LossConstants(c_eff=0.0)
@@ -104,8 +125,8 @@ def test_five_node_dataset_shape(five_node):
 def test_surfnet_dataset_shape(surfnet):
     assert len(surfnet.nodes) == 17
     assert len(surfnet.links) == 20
-    roles = {n.role for n in surfnet.nodes}
-    assert roles == {"source", "sink", "internal"}
+    ids = [n.id for n in surfnet.nodes]
+    assert surfnet.source in ids and surfnet.sink in ids
 
 
 def test_source_equals_sink_rejected():
@@ -184,7 +205,7 @@ endpoints: {{source: a, sink: b}}
 
 @pytest.mark.parametrize("c", [2.7, True, "3", 2.0])
 def test_capacity_must_be_an_int(c):
-    nodes = (NodeSpec("s", role="source"), NodeSpec("t", role="sink"))
+    nodes = (NodeSpec("s"), NodeSpec("t"))
     link = LinkSpec("s", "t", p=0.5, c=c)
     with pytest.raises(TopologyError, match=rf"\.c: must be an integer in \[1, 255\], got {c!r}$"):
         Topology(nodes, (link,), "s", "t")
@@ -253,14 +274,14 @@ def test_integer_one_loads_as_a_float(field):
 def test_spec_numeric_fields_must_be_numbers(field, raw):
     q = raw if field == "q" else 0.5
     link = {field: raw} if field != "q" else {"p": 0.5}
-    nodes = (NodeSpec("s", role="source"), NodeSpec("m", q), NodeSpec("t", role="sink"))
+    nodes = (NodeSpec("s"), NodeSpec("m", q), NodeSpec("t"))
     links = (LinkSpec("s", "m", **link), LinkSpec("m", "t", p=1))
     with pytest.raises(TopologyError, match=rf"\.{field}: must .*, got {re.escape(repr(raw))}$"):
         Topology(nodes, links, "s", "t")
 
 
 def test_spec_integer_fields_are_numbers():
-    nodes = (NodeSpec("s", role="source"), NodeSpec("m", 1), NodeSpec("t", role="sink"))
+    nodes = (NodeSpec("s"), NodeSpec("m", 1), NodeSpec("t"))
     links = (LinkSpec("s", "m", p=1), LinkSpec("m", "t", length_km=10))
     t = Topology(nodes, links, "s", "t", LossConstants(c_eff=1, beta=0))
     assert t.probabilities == (1, 1.0)
@@ -306,8 +327,28 @@ endpoints: {source: a, sink: b}
         load_topology(doc)
 
 
+def test_topology_built_in_code_takes_roles_from_its_endpoints():
+    nodes = (NodeSpec("s"), NodeSpec("m", 0.5), NodeSpec("t"))
+    links = (LinkSpec("s", "m", p=0.5), LinkSpec("m", "t", p=0.5))
+    t = Topology(nodes, links, "s", "t")
+    assert exact_capacity(t, threads=1).value == 0.125
+    assert serialize_topology(t)["nodes"] == [{"id": "s"}, {"id": "m", "q": 0.5}, {"id": "t"}]
+
+
+@pytest.mark.parametrize("end, index", [("source", 0), ("sink", 2)])
+def test_endpoint_q_in_code_must_be_one(end, index):
+    nodes = [NodeSpec("s"), NodeSpec("m", 0.5), NodeSpec("t")]
+    nodes[index] = NodeSpec(nodes[index].id, 0.5)
+    links = (LinkSpec("s", "m", p=0.5), LinkSpec("m", "t", p=0.5))
+    with pytest.raises(TopologyError) as exc:
+        Topology(tuple(nodes), links, "s", "t")
+    assert exc.value.diagnostics == [
+        f"nodes[{index}].q: q must be absent or 1 for {end} '{nodes[index].id}'"
+    ]
+
+
 def test_validate_flags_duplicate_links():
-    nodes = (NodeSpec("s", role="source"), NodeSpec("t", role="sink"))
+    nodes = (NodeSpec("s"), NodeSpec("t"))
     links = (LinkSpec("s", "t", p=0.5), LinkSpec("t", "s", p=0.4))
     with pytest.raises(TopologyError, match="duplicate link") as exc:
         Topology(nodes, links, "s", "t")
@@ -334,7 +375,7 @@ def test_validate_flags_duplicate_links():
 )
 def test_link_diagnostics_are_pinned(link, diagnostic):
     # each names the link by its place in the sorted link order and its id
-    nodes = (NodeSpec("s", role="source"), NodeSpec("m", 0.5), NodeSpec("t", role="sink"))
+    nodes = (NodeSpec("s"), NodeSpec("m", 0.5), NodeSpec("t"))
     links = (LinkSpec("s", "m", p=0.5), LinkSpec("m", "t", p=0.5), link)
     with pytest.raises(TopologyError) as exc:
         Topology(nodes, links, "s", "t")
@@ -343,7 +384,7 @@ def test_link_diagnostics_are_pinned(link, diagnostic):
 
 def with_endpoints(*internal):
     """s, t and internal nodes of the given ids."""
-    ends = (NodeSpec("s", role="source"), NodeSpec("t", role="sink"))
+    ends = (NodeSpec("s"), NodeSpec("t"))
     return ends + tuple(NodeSpec(n, 0.5) for n in internal)
 
 
@@ -399,7 +440,7 @@ def test_q_of_endpoints_is_one(five_node):
 
 
 def test_with_endpoints_swap(five_node):
-    swapped = five_node.with_endpoints(five_node.sink, five_node.source)
+    swapped = dataclasses.replace(five_node, source=five_node.sink, sink=five_node.source)
     assert swapped.source == five_node.sink
     assert {l.key for l in swapped.links} == {l.key for l in five_node.links}
 

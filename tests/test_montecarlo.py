@@ -114,8 +114,7 @@ def test_multiplexed_links_counted(five_node):
     from qnetcap.model import LinkSpec, NodeSpec, Topology
 
     det = Topology(
-        tuple(NodeSpec(n.id, 1.0 if n.role == "internal" else n.q, n.role)
-              for n in five_node.nodes),
+        tuple(NodeSpec(n.id, 1.0) for n in five_node.nodes),
         tuple(LinkSpec(l.u, l.v, p=1.0, c=l.c) for l in five_node.links),
         five_node.source,
         five_node.sink,

@@ -13,3 +13,4 @@ def test_readme_library_example_runs():
     exec(block, scope)
     # the value that the packaging check greps from `qnetcap capacity`
     assert scope["report"].value == 1.2121288023864227
+    assert scope["line_report"].value == 0.125

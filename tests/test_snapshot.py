@@ -108,7 +108,9 @@ def test_state_probability_rejects_excess_count():
         state_probability(t, s)
 
 
-@pytest.mark.parametrize("check", [state_index, state_probability, to_unit_capacity])
+@pytest.mark.parametrize(
+    "check", [state_index, state_probability, to_unit_capacity, to_directed]
+)
 def test_state_checks_reject_bad_vectors(check, five_node, abilene):
     link = five_node.link_index["0-4"]  # c = 1
     over = [0] * len(five_node.links)
@@ -122,6 +124,9 @@ def test_state_checks_reject_bad_vectors(check, five_node, abilene):
     # a state of another topology, with twice as many links
     with pytest.raises(ValueError, match="14 counts for 7 links"):
         check(five_node, SnapshotState.empty(abilene))
+    # and one with fewer counts than links, which zip would cut the links to
+    with pytest.raises(ValueError, match="3 counts for 7 links"):
+        check(five_node, SnapshotState(("x",) * 3, (1, 1, 1)))
 
 
 def test_counts_mapping_omits_zeros(five_node):
